@@ -207,21 +207,6 @@ func BenchmarkAblationReplication_R1(b *testing.B) { benchReplication(b, 1) }
 func BenchmarkAblationReplication_R2(b *testing.B) { benchReplication(b, 2) }
 func BenchmarkAblationReplication_R3(b *testing.B) { benchReplication(b, 3) }
 
-// BenchmarkAblationSched_On/_Off: A4, per-object scheduling (§4.2).
-func benchSched(b *testing.B, disabled bool) {
-	opts := benchOptions(b)
-	opts.DisableSched = disabled
-	d, err := bench.StartAggregated(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	runWorkload(b, d, opts, workload.Follow)
-}
-
-func BenchmarkAblationSched_On(b *testing.B)  { benchSched(b, false) }
-func BenchmarkAblationSched_Off(b *testing.B) { benchSched(b, true) }
-
 // BenchmarkAblationFuel_Metered/_Unmetered: A3, the interpreter's metering
 // overhead on a compute-bound guest loop.
 func benchFuel(b *testing.B, metered bool) {

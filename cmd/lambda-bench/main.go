@@ -5,15 +5,9 @@
 //	lambda-bench -ablation cache          A1: consistent result cache
 //	lambda-bench -ablation replication    A2: replication factor 1/2/3
 //	lambda-bench -ablation fuel           A3: metering overhead
-//	lambda-bench -ablation sched          A4: per-object scheduling
 //	lambda-bench -ablation netdelay       A5: network-delay sweep
-//	lambda-bench -write-path              batched vs unbatched write pipeline
-//	lambda-bench -read-path               read-path layer ablations (GetTimeline)
-//	lambda-bench -obs                     telemetry overhead: off / metrics / metrics+tracing
-//	lambda-bench -recovery                rejoin cost: digest diff vs full resync
+//	lambda-bench -recovery                rejoin cost vs store size and divergence
 //	lambda-bench -rebalance               many-group placement + Zipf hot-spot convergence
-//	lambda-bench -read-scaleout           leased replica reads vs primary-only routing
-//	lambda-bench -vm                      VM tier: token-threaded dispatch vs interpreter
 //	lambda-bench -overload                open-loop latency vs offered load, shed on/off
 //	lambda-bench -all                     everything
 package main
@@ -35,16 +29,11 @@ func main() {
 		concurrency = flag.Int("concurrency", 50, "concurrent closed-loop clients")
 		ops         = flag.Int("ops", 2000, "operations per measurement")
 		table       = flag.Int("table", 0, "run table N (1)")
-		ablation    = flag.String("ablation", "", "run one ablation: cache|replication|fuel|sched|netdelay")
+		ablation    = flag.String("ablation", "", "run one ablation: cache|replication|fuel|netdelay")
 		all         = flag.Bool("all", false, "run everything")
 		dataRoot    = flag.String("data", "", "scratch directory root")
-		writePath   = flag.Bool("write-path", false, "run the batched-vs-unbatched write-path benchmark (fsync per commit)")
-		readPath    = flag.Bool("read-path", false, "run the read-path ablation sweep (GetTimeline at 1/8/64 clients)")
-		obs         = flag.Bool("obs", false, "run the observability-overhead sweep (telemetry off / metrics / metrics+tracing)")
-		recov       = flag.Bool("recovery", false, "run the rejoin benchmark (range-digest diff vs full resync)")
+		recov       = flag.Bool("recovery", false, "run the rejoin benchmark (range-digest diff across store sizes and divergence)")
 		rebal       = flag.Bool("rebalance", false, "run the rebalance benchmark (throughput vs groups, Zipf hot-spot convergence)")
-		readScale   = flag.Bool("read-scaleout", false, "run the read scale-out benchmark (leased replica reads vs primary-only)")
-		vmCompile   = flag.Bool("vm", false, "run the VM-tier benchmark (token-threaded vs interpreter, micro + end-to-end)")
 		overload    = flag.Bool("overload", false, "run the overload benchmark (open-loop Poisson sweep past saturation, admission shedding on/off)")
 		out         = flag.String("out", "", "write the benchmark report JSON to this path")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -88,13 +77,13 @@ func main() {
 			if err != nil {
 				log.Fatalf("lambda-bench: cache: %v", err)
 			}
-			bench.PrintAblation(os.Stdout, "A1: consistent result cache (GetTimeline, hot read set)", res, nil)
+			bench.PrintAblation(os.Stdout, "A1: consistent result cache (GetTimeline, hot read set)", res)
 		case "replication":
 			res, err := bench.RunAblationReplication(opts)
 			if err != nil {
 				log.Fatalf("lambda-bench: replication: %v", err)
 			}
-			bench.PrintAblation(os.Stdout, "A2: replication factor (Follow)", res, nil)
+			bench.PrintAblation(os.Stdout, "A2: replication factor (Follow)", res)
 		case "fuel":
 			metered, unmetered, err := bench.FuelAblation(20_000_000)
 			if err != nil {
@@ -102,12 +91,6 @@ func main() {
 			}
 			fmt.Printf("A3: fuel metering overhead: metered=%v unmetered=%v overhead=%.2fx\n",
 				metered, unmetered, float64(metered)/float64(unmetered))
-		case "sched":
-			res, probes, err := bench.RunAblationSched(opts)
-			if err != nil {
-				log.Fatalf("lambda-bench: sched: %v", err)
-			}
-			bench.PrintAblation(os.Stdout, "A4: per-object scheduling (Follow)", res, bench.ProbeNotes(probes))
 		case "netdelay":
 			delays := []time.Duration{0, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond}
 			out, err := bench.RunAblationNetDelay(opts, delays)
@@ -127,27 +110,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if *writePath {
-		ran = true
-		if _, err := bench.RunWritePath(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: write-path: %v", err)
-		}
-		fmt.Println()
-	}
-	if *readPath {
-		ran = true
-		if _, err := bench.RunReadPath(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: read-path: %v", err)
-		}
-		fmt.Println()
-	}
-	if *obs {
-		ran = true
-		if _, err := bench.RunObservability(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: obs: %v", err)
-		}
-		fmt.Println()
-	}
 	if *recov {
 		ran = true
 		if _, err := bench.RunRecovery(opts, *out, os.Stdout); err != nil {
@@ -162,20 +124,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *readScale {
-		ran = true
-		if _, err := bench.RunReadScaleout(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: read-scaleout: %v", err)
-		}
-		fmt.Println()
-	}
-	if *vmCompile {
-		ran = true
-		if _, err := bench.RunVMCompile(opts, *out, os.Stdout); err != nil {
-			log.Fatalf("lambda-bench: vm: %v", err)
-		}
-		fmt.Println()
-	}
 	if *overload {
 		ran = true
 		if _, err := bench.RunOverload(opts, *out, os.Stdout); err != nil {
@@ -187,7 +135,7 @@ func main() {
 		runAblation(*ablation)
 	}
 	if *all {
-		for _, a := range []string{"cache", "replication", "fuel", "sched", "netdelay"} {
+		for _, a := range []string{"cache", "replication", "fuel", "netdelay"} {
 			runAblation(a)
 		}
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"lambdastore/internal/baseline"
@@ -165,121 +164,6 @@ func RunAblationReplication(opts Options) ([]AblationResult, error) {
 	return out, nil
 }
 
-// SchedProbe reports the A4 correctness probe for one configuration: how
-// many concurrent single-object updates were issued, how many failed with
-// an error (load-dependent: admission timeouts under a saturated machine),
-// and how many survived into the committed follower count. With the
-// scheduler on, every acknowledged update survives; with it off, lost
-// updates make Survived fall short.
-type SchedProbe struct {
-	Config   string
-	Issued   int
-	Failed   int
-	Survived int64
-}
-
-// Note renders the probe as a harness output line.
-func (p SchedProbe) Note() string {
-	return fmt.Sprintf("%s: %d/%d concurrent single-object updates survived (%d probe errors)",
-		p.Config, p.Survived, p.Issued, p.Failed)
-}
-
-// ProbeNotes renders probes for PrintAblation.
-func ProbeNotes(probes []SchedProbe) []string {
-	notes := make([]string, len(probes))
-	for i, p := range probes {
-		notes[i] = p.Note()
-	}
-	return notes
-}
-
-// retryInvoke tolerates transient load-dependent failures (admission
-// timeouts while the suite saturates the machine) on control-plane reads.
-func retryInvoke(inv workload.Invoker, id uint64, method string, args [][]byte) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		res, err := inv.Invoke(id, method, args)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
-	}
-	return nil, lastErr
-}
-
-// RunAblationSched measures A4: per-object scheduling (the combined
-// scheduler/concurrency-control of §4.2) versus no admission control. With
-// the scheduler disabled, invocation isolation is lost — the harness also
-// reports the resulting lost updates to make the correctness cost visible.
-func RunAblationSched(opts Options) ([]AblationResult, []SchedProbe, error) {
-	var out []AblationResult
-	var probesOut []SchedProbe
-	for _, disabled := range []bool{false, true} {
-		o := opts
-		o.DisableSched = disabled
-		d, err := StartAggregated(o)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := workload.DefaultConfig(o.Accounts)
-		if err := workload.Populate(cfg, d.Create, d.Invoker); err != nil {
-			d.Close()
-			return nil, nil, err
-		}
-		res, err := workload.RunClosedLoop(cfg, workload.Follow, d.Invoker, o.Concurrency, o.OpsPerWorkload)
-		if err != nil {
-			d.Close()
-			return nil, nil, err
-		}
-
-		// Correctness probe: hammer one object with concurrent follower
-		// additions and compare the final count with the issued count.
-		// Individual probes may fail under load (admission timeouts); they
-		// are counted rather than ignored so callers can assert the
-		// invariant over the acknowledged updates only.
-		probeID := cfg.AccountID(0)
-		before, err := retryInvoke(d.Invoker, probeID, "follower_count", nil)
-		if err != nil {
-			d.Close()
-			return nil, nil, err
-		}
-		const probes = 200
-		var failed atomic.Int64
-		sem := make(chan struct{}, o.Concurrency)
-		for i := 0; i < probes; i++ {
-			sem <- struct{}{}
-			go func(i int) {
-				defer func() { <-sem }()
-				if _, err := d.Invoker.Invoke(probeID, "add_follower", [][]byte{i64(int64(900000 + i))}); err != nil {
-					failed.Add(1)
-				}
-			}(i)
-		}
-		for i := 0; i < cap(sem); i++ {
-			sem <- struct{}{}
-		}
-		after, err := retryInvoke(d.Invoker, probeID, "follower_count", nil)
-		d.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		gained := i64dec(after) - i64dec(before)
-		name := "scheduler=on"
-		if disabled {
-			name = "scheduler=off"
-		}
-		out = append(out, AblationResult{Config: name, Result: res})
-		probesOut = append(probesOut, SchedProbe{
-			Config:   name,
-			Issued:   probes,
-			Failed:   int(failed.Load()),
-			Survived: gained,
-		})
-	}
-	return out, probesOut, nil
-}
-
 // RunAblationNetDelay measures A5: the aggregated/disaggregated gap as the
 // injected one-way network delay grows — disaggregation pays the delay per
 // storage operation, aggregation once per job.
@@ -379,29 +263,9 @@ end`
 }
 
 // PrintAblation renders ablation rows.
-func PrintAblation(w io.Writer, title string, results []AblationResult, notes []string) {
+func PrintAblation(w io.Writer, title string, results []AblationResult) {
 	fmt.Fprintln(w, title)
 	for _, r := range results {
 		fmt.Fprintf(w, "  %-16s %s\n", r.Config, r.Result)
 	}
-	for _, n := range notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
-	}
-}
-
-// i64 and i64dec are tiny local codecs for probe arguments.
-func i64(v int64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
-}
-
-func i64dec(b []byte) int64 {
-	var v int64
-	for i := 0; i < 8 && i < len(b); i++ {
-		v |= int64(b[i]) << (8 * i)
-	}
-	return v
 }

@@ -145,7 +145,7 @@ func TestAblationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintAblation(os.Stderr, "A1: consistent result cache (GetTimeline)", res, nil)
+	PrintAblation(os.Stderr, "A1: consistent result cache (GetTimeline)", res)
 	if len(res) != 2 {
 		t.Fatalf("rows = %d", len(res))
 	}
@@ -165,7 +165,7 @@ func TestAblationReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintAblation(os.Stderr, "A2: replication factor (Follow)", res, nil)
+	PrintAblation(os.Stderr, "A2: replication factor (Follow)", res)
 	if len(res) != 3 {
 		t.Fatalf("rows = %d", len(res))
 	}
@@ -173,41 +173,6 @@ func TestAblationReplication(t *testing.T) {
 	if res[2].Result.Throughput > res[0].Result.Throughput*1.3 {
 		t.Errorf("3 replicas (%.1f) implausibly faster than 1 (%.1f)",
 			res[2].Result.Throughput, res[0].Result.Throughput)
-	}
-}
-
-func TestAblationSchedCorrectness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness test is slow")
-	}
-	opts := smallOptions(t)
-	opts.OpsPerWorkload = 200
-	res, probes, err := RunAblationSched(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	PrintAblation(os.Stderr, "A4: per-object scheduling (Follow)", res, ProbeNotes(probes))
-	if len(res) != 2 || len(probes) != 2 {
-		t.Fatalf("rows=%d probes=%d", len(res), len(probes))
-	}
-	// Assert the invariant, not an exact survivor count: individual probes
-	// may fail under full-suite load (admission timeouts), and with the
-	// scheduler off the number of lost updates depends on interleaving.
-	for _, p := range probes {
-		acked := int64(p.Issued - p.Failed)
-		if p.Failed >= p.Issued {
-			t.Errorf("%s: all %d probes failed", p.Config, p.Issued)
-			continue
-		}
-		if p.Survived <= 0 {
-			t.Errorf("%s: no updates survived (%d issued, %d failed)", p.Config, p.Issued, p.Failed)
-		}
-		if p.Config == "scheduler=on" && p.Survived < acked {
-			t.Errorf("scheduler=on lost updates: %d survived < %d acknowledged", p.Survived, acked)
-		}
-		if p.Survived > int64(p.Issued) {
-			t.Errorf("%s: %d survived exceeds %d issued", p.Config, p.Survived, p.Issued)
-		}
 	}
 }
 

@@ -32,32 +32,11 @@ type Options struct {
 	CacheEntries   int
 	Fuel           int64
 	DataRoot       string // parent directory for node data (temp if empty)
-	DisableSched   bool   // ablation A4
 	ColdPerInvoke  bool   // disaggregated cold-start emulation (Table 1)
-	// SyncWrites fsyncs the WAL on every commit (the write-path benchmark's
-	// durability-honest configuration).
+	// SyncWrites fsyncs the WAL on every commit (the durability-honest
+	// configuration).
 	SyncWrites bool
-	// DisableBatching turns off the whole batched write pipeline — WAL
-	// group commit, replication ship coalescing, and RPC write coalescing —
-	// for the batched-vs-unbatched ablation.
-	DisableBatching bool
-
-	// Read-path ablation knobs (benchmarked by RunReadPath): each disables
-	// one layer of the fast read path independently.
-	CacheShards         int  // result-cache shard count (0 default; 1 = unsharded)
-	StateCacheEntries   int  // store hot-state cache (0 default; negative = off)
-	DisableReadFastPath bool // read-only invocations take the full txn path
-	FullVMReset         bool // warm VM reuse re-images all memory
-	VMInterp            bool // force the switch interpreter (no threaded tier)
-
-	// Observability-overhead knobs (benchmarked by RunObservability).
-	DisableMetrics bool // withhold the registry from every hot-path component
-	Tracing        bool // record spans for every invocation
-
-	// DisableLeases withholds read leases from backups, so every
-	// consistent read must be served by the primary — the read-scaleout
-	// benchmark's baseline.
-	DisableLeases bool
+	Tracing    bool // record spans for every invocation
 
 	// Admission plane knobs (benchmarked by RunOverload).
 	MaxConcurrentInvokes int           // execution slots per node (0 = ungated)
@@ -89,30 +68,15 @@ func (o *Options) tempDir(name string) (string, error) {
 	return os.MkdirTemp(root, "lambdastore-"+name+"-*")
 }
 
-// groupCommitWait returns the store's leader linger for this run: 2ms when
-// the batched pipeline is on (the fsync amortization window), zero for the
-// unbatched ablation.
-func (o *Options) groupCommitWait() time.Duration {
-	if o.DisableBatching {
-		return 0
-	}
-	return 2 * time.Millisecond
-}
-
-// vmTier maps the VMInterp ablation flag onto the runtime's tier name.
-func (o *Options) vmTier() string {
-	if o.VMInterp {
-		return "interp"
-	}
-	return ""
-}
+// groupCommitWait is the store's group-commit leader linger: the fsync
+// amortization window (it only engages under SyncWrites).
+const groupCommitWait = 2 * time.Millisecond
 
 // clientOpts builds the RPC options with injected network delay.
 func (o *Options) clientOpts() *rpc.ClientOptions {
 	return &rpc.ClientOptions{
-		Delay:                  o.NetDelay,
-		Timeout:                120 * time.Second,
-		DisableWriteCoalescing: o.DisableBatching,
+		Delay:   o.NetDelay,
+		Timeout: 120 * time.Second,
 	}
 }
 
@@ -123,8 +87,7 @@ type Deployment struct {
 	// Create instantiates an object of the Retwis User type.
 	Create func(id uint64) error
 	// Nodes exposes the aggregated deployment's cluster nodes (nil for the
-	// disaggregated baseline); the write-path benchmark reads commit/fsync
-	// counters from their registries.
+	// disaggregated baseline), so callers can read per-node registries.
 	Nodes []*cluster.Node
 	// Dir is the aggregated deployment's shared directory (nil for the
 	// disaggregated baseline) — extra clients with their own read policies
@@ -174,32 +137,21 @@ func StartAggregated(opts Options) (*Deployment, error) {
 			DataDir: dataDir,
 			GroupID: 0,
 			Store: &store.Options{
-				SyncWrites:         opts.SyncWrites,
-				DisableGroupCommit: opts.DisableBatching,
-				GroupCommitWait:    opts.groupCommitWait(),
-				StateCacheEntries:  opts.StateCacheEntries,
+				SyncWrites:      opts.SyncWrites,
+				GroupCommitWait: groupCommitWait,
 			},
 			Runtime: core.Options{
-				Fuel:                opts.Fuel,
-				CacheEntries:        opts.CacheEntries,
-				CacheShards:         opts.CacheShards,
-				DisableScheduler:    opts.DisableSched,
-				DisableReadFastPath: opts.DisableReadFastPath,
-				FullVMReset:         opts.FullVMReset,
-				VMTier:              opts.vmTier(),
+				Fuel:         opts.Fuel,
+				CacheEntries: opts.CacheEntries,
 			},
-			Directory:             dir,
-			ClientOptions:         opts.clientOpts(),
-			DisableShipCoalescing: opts.DisableBatching,
-			DisableRPCCoalescing:  opts.DisableBatching,
-			DisableMetrics:        opts.DisableMetrics,
-			Tracing:               opts.Tracing,
-			DisableLeases:         opts.DisableLeases,
-			MaxConcurrentInvokes:  opts.MaxConcurrentInvokes,
-			AdmissionQueue:        opts.AdmissionQueue,
-			AdmissionDeadline:     opts.AdmissionDeadline,
-			AdmissionLIFO:         opts.AdmissionLIFO,
-			TenantQPS:             opts.TenantQPS,
+			Directory:            dir,
+			ClientOptions:        opts.clientOpts(),
+			Tracing:              opts.Tracing,
+			MaxConcurrentInvokes: opts.MaxConcurrentInvokes,
+			AdmissionQueue:       opts.AdmissionQueue,
+			AdmissionDeadline:    opts.AdmissionDeadline,
+			AdmissionLIFO:        opts.AdmissionLIFO,
+			TenantQPS:            opts.TenantQPS,
 		})
 		if err != nil {
 			d.Close()

@@ -16,10 +16,9 @@ import (
 )
 
 // Recovery bench sweep: two base store sizes crossed with two downtime
-// divergence levels, each measured with the digest diff on (catch-up
-// streams only divergent ranges) and off (full resync streams the whole
-// store). The artifact's point: with digests, rejoin bytes track the
-// writes the node missed, not how much data it stores.
+// divergence levels. Catch-up streams only the ranges the digest diff
+// flags, so the artifact's point is that rejoin bytes track the writes
+// the node missed, not how much data it stores.
 var (
 	recoveryStoreSizes  = []int{256, 1024}
 	recoveryDivergences = []int{16, 128}
@@ -27,8 +26,6 @@ var (
 
 // RecoveryPoint is one measured rejoin.
 type RecoveryPoint struct {
-	// Mode is "digest" (range-digest diff) or "full" (full-resync ablation).
-	Mode string `json:"mode"`
 	// StoreObjects is the object count in the base store (pre-crash).
 	StoreObjects int `json:"store_objects"`
 	// DowntimeWrites is how many distinct objects were written while the
@@ -39,8 +36,7 @@ type RecoveryPoint struct {
 	RejoinSeconds float64 `json:"rejoin_seconds"`
 	// BytesStreamed is the catch-up chunk payload volume.
 	BytesStreamed uint64 `json:"bytes_streamed"`
-	// RangesDiverged counts object/meta ranges the digest diff flagged
-	// (in full mode: every range the donor holds).
+	// RangesDiverged counts object/meta ranges the digest diff flagged.
 	RangesDiverged uint64 `json:"ranges_diverged"`
 	// ChunksApplied counts bounded chunk applications at the joiner.
 	ChunksApplied uint64 `json:"chunks_applied"`
@@ -59,27 +55,20 @@ type RecoveryReport struct {
 	// the small store, same divergence: ~1.0 means catch-up cost is bound
 	// by divergence, not store size.
 	DigestStoreScalingBytes float64 `json:"digest_bytes_large_over_small_store"`
-	// FullOverDigestBytes is full-resync bytes over digest-diff bytes at
-	// the large store and small divergence — what the digest plane saves.
-	FullOverDigestBytes float64 `json:"full_over_digest_bytes"`
 }
 
 // runRecoveryPoint boots a fresh 3-node chaos cluster, populates the base
 // store, crashes a backup, writes the divergence during its downtime,
 // restarts it and measures the rejoin.
-func runRecoveryPoint(opts Options, fullResync bool, storeObjects, downtimeWrites int) (RecoveryPoint, error) {
-	mode := "digest"
-	if fullResync {
-		mode = "full"
-	}
-	out := RecoveryPoint{Mode: mode, StoreObjects: storeObjects, DowntimeWrites: downtimeWrites}
+func runRecoveryPoint(opts Options, storeObjects, downtimeWrites int) (RecoveryPoint, error) {
+	out := RecoveryPoint{StoreObjects: storeObjects, DowntimeWrites: downtimeWrites}
 
 	dir, err := opts.tempDir("recovery")
 	if err != nil {
 		return out, err
 	}
 	defer os.RemoveAll(dir)
-	c, err := chaos.Start(chaos.Options{BaseDir: dir, RejoinFullResync: fullResync})
+	c, err := chaos.Start(chaos.Options{BaseDir: dir})
 	if err != nil {
 		return out, err
 	}
@@ -226,9 +215,8 @@ func appendRetry(client *cluster.Client, id core.ObjectID, v int64) error {
 	}
 }
 
-// RunRecovery sweeps rejoin cost over (store size × divergence × digest
-// mode) and writes results/BENCH_recovery.json. An empty outPath skips
-// the artifact.
+// RunRecovery sweeps rejoin cost over (store size × divergence) and
+// writes results/BENCH_recovery.json. An empty outPath skips the artifact.
 func RunRecovery(opts Options, outPath string, w io.Writer) (*RecoveryReport, error) {
 	rep := &RecoveryReport{
 		GeneratedBy:    "make bench-recovery",
@@ -237,41 +225,34 @@ func RunRecovery(opts Options, outPath string, w io.Writer) (*RecoveryReport, er
 		DowntimeWrites: recoveryDivergences,
 	}
 	if w != nil {
-		fmt.Fprintln(w, "Recovery: backup crash, downtime writes, anti-entropy rejoin (digest diff vs full resync)")
+		fmt.Fprintln(w, "Recovery: backup crash, downtime writes, anti-entropy rejoin (digest diff)")
 	}
-	// Indexed by (mode, store, divergence) for the headline ratios.
-	bytesAt := make(map[string]uint64)
-	for _, fullResync := range []bool{false, true} {
-		for _, storeObjects := range recoveryStoreSizes {
-			for _, div := range recoveryDivergences {
-				p, err := runRecoveryPoint(opts, fullResync, storeObjects, div)
-				if err != nil {
-					return nil, fmt.Errorf("bench: recovery %s/%d/%d: %w", p.Mode, storeObjects, div, err)
-				}
-				rep.Results = append(rep.Results, p)
-				bytesAt[fmt.Sprintf("%s/%d/%d", p.Mode, storeObjects, div)] = p.BytesStreamed
-				if w != nil {
-					fmt.Fprintf(w, "  %-6s store=%-5d diverged=%-4d rejoin=%7.3fs bytes=%-9d ranges=%-5d chunks=%-4d attempts=%d\n",
-						p.Mode, p.StoreObjects, p.DowntimeWrites, p.RejoinSeconds,
-						p.BytesStreamed, p.RangesDiverged, p.ChunksApplied, p.Attempts)
-				}
+	// Indexed by (store, divergence) for the headline ratio.
+	bytesAt := make(map[[2]int]uint64)
+	for _, storeObjects := range recoveryStoreSizes {
+		for _, div := range recoveryDivergences {
+			p, err := runRecoveryPoint(opts, storeObjects, div)
+			if err != nil {
+				return nil, fmt.Errorf("bench: recovery %d/%d: %w", storeObjects, div, err)
+			}
+			rep.Results = append(rep.Results, p)
+			bytesAt[[2]int{storeObjects, div}] = p.BytesStreamed
+			if w != nil {
+				fmt.Fprintf(w, "  store=%-5d diverged=%-4d rejoin=%7.3fs bytes=%-9d ranges=%-5d chunks=%-4d attempts=%d\n",
+					p.StoreObjects, p.DowntimeWrites, p.RejoinSeconds,
+					p.BytesStreamed, p.RangesDiverged, p.ChunksApplied, p.Attempts)
 			}
 		}
 	}
 
 	small, large := recoveryStoreSizes[0], recoveryStoreSizes[len(recoveryStoreSizes)-1]
 	minDiv := recoveryDivergences[0]
-	if b := bytesAt[fmt.Sprintf("digest/%d/%d", small, minDiv)]; b > 0 {
-		rep.DigestStoreScalingBytes = float64(bytesAt[fmt.Sprintf("digest/%d/%d", large, minDiv)]) / float64(b)
-	}
-	if b := bytesAt[fmt.Sprintf("digest/%d/%d", large, minDiv)]; b > 0 {
-		rep.FullOverDigestBytes = float64(bytesAt[fmt.Sprintf("full/%d/%d", large, minDiv)]) / float64(b)
+	if b := bytesAt[[2]int{small, minDiv}]; b > 0 {
+		rep.DigestStoreScalingBytes = float64(bytesAt[[2]int{large, minDiv}]) / float64(b)
 	}
 	if w != nil {
 		fmt.Fprintf(w, "  digest bytes, %dx store growth at fixed divergence: %.2fx (1.0 = divergence-bound)\n",
 			large/small, rep.DigestStoreScalingBytes)
-		fmt.Fprintf(w, "  full-resync over digest bytes (store=%d, diverged=%d): %.1fx\n",
-			large, minDiv, rep.FullOverDigestBytes)
 	}
 
 	if outPath != "" {

@@ -85,9 +85,9 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// DefaultShards is the shard count used by New. 32 comfortably exceeds the
-// core counts this runs on while keeping per-shard LRU lists long enough to
-// stay useful.
+// DefaultShards is the shard count used by New; it must be a power of two.
+// 32 comfortably exceeds the core counts this runs on while keeping
+// per-shard LRU lists long enough to stay useful.
 const DefaultShards = 32
 
 // shard is one lock-striped partition of the cache. All entries for a given
@@ -113,23 +113,10 @@ type Cache struct {
 // New returns a cache bounded to capacity entries (<=0 means 64k), split
 // across DefaultShards shards.
 func New(capacity int) *Cache {
-	return NewSharded(capacity, DefaultShards)
-}
-
-// NewSharded returns a cache with an explicit shard count (rounded up to a
-// power of two; <=0 means DefaultShards). shards=1 degenerates to the old
-// single-mutex cache and exists for the read-path ablation.
-func NewSharded(capacity, shards int) *Cache {
 	if capacity <= 0 {
 		capacity = 64 << 10
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+	n := DefaultShards
 	// Tiny caches keep exact global LRU order: splitting a handful of slots
 	// across shards would evict by shard occupancy, not recency. Cap the
 	// shard count so each shard holds at least 16 entries.

@@ -35,10 +35,6 @@ type Options struct {
 	// ClientRetries bounds the cluster client's per-invoke retry loop
 	// (default 4; recovery loops retry whole invokes on top).
 	ClientRetries int
-	// RejoinFullResync ablates the nodes' anti-entropy digest diff:
-	// catch-up streams the donor's whole store regardless of divergence
-	// (the recovery bench's baseline mode).
-	RejoinFullResync bool
 	// RejoinMaxBytesPerSec rate-limits recovery chunk streaming on every
 	// node (0 = unlimited).
 	RejoinMaxBytesPerSec int
@@ -280,7 +276,6 @@ func (c *Cluster) nodeOptions(addr, dataDir string, group uint64) cluster.NodeOp
 		Coordinators:           c.coordAddrs,
 		HeartbeatInterval:      c.opts.HeartbeatInterval,
 		Rejoin:                 true,
-		RecoveryFullResync:     c.opts.RejoinFullResync,
 		RecoveryMaxBytesPerSec: c.opts.RejoinMaxBytesPerSec,
 		MoveSessionTimeout:     c.opts.MoveSessionTimeout,
 		MaxConcurrentInvokes:   c.opts.AdmissionWorkers,

@@ -249,6 +249,80 @@ func TestBackupRejectsMutation(t *testing.T) {
 	}
 }
 
+// TestDeposedPrimaryWithholdsAck: an invocation admitted while its node
+// was primary but committing after the node was deposed must not be
+// acknowledged. The deposed node's fan-out is already empty, so the ack
+// would cover a write that no replica of the new configuration holds.
+func TestDeposedPrimaryWithholdsAck(t *testing.T) {
+	nodes, dir := startGroup(t, 2, 0)
+	c := newGroupClient(t, dir)
+	if err := c.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateObject("Counter", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Park the invocation behind the object lock, depose its node, then
+	// let it commit.
+	release, err := nodes[0].Runtime().LockObject(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := nodes[0].Runtime().Invoke(1, "add", [][]byte{core.I64Bytes(1)})
+		done <- err
+	}()
+	deposed, err := shard.Load(dir.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deposed.Promote(0, nodes[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].SetDirectory(deposed)
+	nodes[0].SetDirectory(deposed)
+	release()
+
+	err = <-done
+	if err == nil {
+		v, _ := nodes[1].Runtime().GetValueField(1, "count")
+		t.Fatalf("deposed primary acknowledged the write (new primary holds count=%d)", core.BytesI64(v))
+	}
+	if hint, ok := ParseNotResponsible(err); !ok || hint != nodes[1].Addr() {
+		t.Fatalf("err = %v (hint %q), want not-responsible pointing at %s", err, hint, nodes[1].Addr())
+	}
+}
+
+// A node with no configuration and no coordinators is a static single-node
+// deployment: it executes everything and acknowledges each write once.
+func TestStaticNodeWithoutConfigAcksWrites(t *testing.T) {
+	node, err := StartNode(NodeOptions{
+		Addr:      "127.0.0.1:0",
+		DataDir:   t.TempDir(),
+		Directory: shard.NewDirectory(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	rt := node.Runtime()
+	if err := rt.RegisterType(counterType(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CreateObject("Counter", 1); err != nil {
+		t.Fatalf("CreateObject: %v", err)
+	}
+	if _, err := rt.Invoke(1, "add", [][]byte{core.I64Bytes(1)}); err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	v, err := rt.GetValueField(1, "count")
+	if err != nil || core.BytesI64(v) != 1 {
+		t.Fatalf("count = %d, %v; want 1", core.BytesI64(v), err)
+	}
+}
+
 func TestCrossObjectRoutingAcrossGroups(t *testing.T) {
 	// Two groups; objects land by id%2. A method on an object in group 0
 	// invokes an object in group 1 — the node must forward it.

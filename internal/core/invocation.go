@@ -67,7 +67,7 @@ type asyncCall struct {
 // ensureLocked (re-)admits the invocation on its object before a state
 // access or commit.
 func (iv *invocation) ensureLocked() error {
-	if iv.locked || iv.external || iv.rt.opts.DisableScheduler {
+	if iv.locked || iv.external {
 		return nil
 	}
 	sp := iv.rt.tracer.StartSpan(iv.trace, "lock-wait")

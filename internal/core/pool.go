@@ -17,31 +17,26 @@ type poolKey struct {
 }
 
 // instancePool recycles VM instances per (module, method). A warm
-// invocation pops a pooled instance and resets it — by default the cheap
-// dirty-region reset (vm.ResetFast), or the full memory re-image when
-// fullReset is set (the vmpool ablation) — while a cold one pays full
+// invocation pops a pooled instance and resets it with the cheap
+// dirty-region reset (vm.ResetFast), while a cold one pays full
 // instantiation. The distinction mirrors serverless warm vs cold starts
 // (§2.1), and the pool exports counters so the Table-1 benchmark can
 // report both paths.
 type instancePool struct {
-	mu        sync.Mutex
-	idle      map[poolKey][]*vm.Instance
-	hosts     *vm.HostTable
-	fuel      int64
-	fullReset bool
-	tier      vm.Tier
+	mu    sync.Mutex
+	idle  map[poolKey][]*vm.Instance
+	hosts *vm.HostTable
+	fuel  int64
 
 	warm uint64
 	cold uint64
 }
 
-func newInstancePool(hosts *vm.HostTable, fuel int64, fullReset bool, tier vm.Tier) *instancePool {
+func newInstancePool(hosts *vm.HostTable, fuel int64) *instancePool {
 	return &instancePool{
-		idle:      make(map[poolKey][]*vm.Instance),
-		hosts:     hosts,
-		fuel:      fuel,
-		fullReset: fullReset,
-		tier:      tier,
+		idle:  make(map[poolKey][]*vm.Instance),
+		hosts: hosts,
+		fuel:  fuel,
 	}
 }
 
@@ -55,21 +50,12 @@ func (p *instancePool) get(module *vm.Module, method string) (*vm.Instance, erro
 		p.idle[k] = list[:n-1]
 		p.warm++
 		p.mu.Unlock()
-		if p.fullReset {
-			inst.Reset(p.fuel)
-		} else {
-			inst.ResetFast(p.fuel)
-		}
+		inst.ResetFast(p.fuel)
 		return inst, nil
 	}
 	p.cold++
 	p.mu.Unlock()
-	inst, err := vm.NewInstance(module, p.hosts, p.fuel)
-	if err != nil {
-		return nil, err
-	}
-	inst.SetTier(p.tier)
-	return inst, nil
+	return vm.NewInstance(module, p.hosts, p.fuel)
 }
 
 // put returns an instance for reuse.

@@ -110,6 +110,11 @@ type Node struct {
 	applyF func(slot uint64, value []byte)
 	stable Stable // optional durable acceptor storage
 
+	// applyMu serializes HandleLearn's collect-and-apply step, so slots
+	// reach applyF in order even when learns for consecutive slots arrive
+	// concurrently. Always taken before mu.
+	applyMu sync.Mutex
+
 	mu sync.Mutex
 	// Acceptor state.
 	promised map[uint64]Ballot // slot -> highest promise
@@ -207,6 +212,8 @@ func (n *Node) HandleAccept(req *AcceptReq) *AcceptResp {
 
 // HandleLearn records a chosen value and applies ready slots in order.
 func (n *Node) HandleLearn(req *LearnReq) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	n.mu.Lock()
 	if _, ok := n.chosen[req.Slot]; !ok {
 		n.chosen[req.Slot] = append([]byte(nil), req.Value...)

@@ -2,8 +2,10 @@ package paxos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"lambdastore/internal/rpc"
 )
@@ -127,6 +129,58 @@ func TestCompetingProposersAgree(t *testing.T) {
 				t.Fatalf("divergence at slot %d: %q vs %q", s, got[s], ref[s])
 			}
 		}
+	}
+}
+
+// TestConcurrentLearnsApplyInSlotOrder pins the learner's ordering
+// guarantee: while apply(0) is still running, a concurrent learn of slot 1
+// must not apply slot 1 ahead of it.
+func TestConcurrentLearnsApplyInSlotOrder(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		order []uint64
+	)
+	entered0 := make(chan struct{})
+	release0 := make(chan struct{})
+	applied1 := make(chan struct{})
+	n := NewNode(1, []uint64{1}, NewLocalTransport(), func(slot uint64, _ []byte) {
+		if slot == 0 {
+			close(entered0)
+			<-release0
+		}
+		mu.Lock()
+		order = append(order, slot)
+		mu.Unlock()
+		if slot == 1 {
+			close(applied1)
+		}
+	})
+
+	learned0 := make(chan struct{})
+	go func() {
+		defer close(learned0)
+		n.HandleLearn(&LearnReq{Slot: 0, Value: []byte("a")})
+	}()
+	<-entered0
+	learned1 := make(chan struct{})
+	go func() {
+		defer close(learned1)
+		n.HandleLearn(&LearnReq{Slot: 1, Value: []byte("b")})
+	}()
+	// An out-of-order learner applies slot 1 right away; give it the
+	// chance before letting slot 0 finish.
+	select {
+	case <-applied1:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release0)
+	<-learned0
+	<-learned1
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(order, []uint64{0, 1}) {
+		t.Fatalf("apply order = %v, want [0 1]", order)
 	}
 }
 

@@ -76,9 +76,6 @@ type ManagerOptions struct {
 	RetryDelay time.Duration
 	// PollInterval paces the membership watch (default 100ms).
 	PollInterval time.Duration
-	// FullResync ablates the digest diff: every object the donor holds
-	// is streamed regardless of divergence (the bench's baseline).
-	FullResync bool
 	// Metrics, if set, receives the joiner-side counters and the
 	// rejoin-duration histogram.
 	Metrics *telemetry.Registry
@@ -303,7 +300,7 @@ func (m *Manager) syncOnce(donor string, epoch uint64) (err error) {
 	}()
 
 	// Initial transfer while forwards buffer.
-	if _, err := m.round(donor, epoch, m.opts.FullResync); err != nil {
+	if _, err := m.round(donor, epoch); err != nil {
 		return fmt.Errorf("transfer: %w", err)
 	}
 	// Replay the buffered commit stream and go live.
@@ -321,7 +318,7 @@ func (m *Manager) syncOnce(donor string, epoch uint64) (err error) {
 	// retry (async-phase gaps, or writes racing the digest scans).
 	clean := false
 	for i := 0; i < 8; i++ {
-		n, err := m.round(donor, epoch, false)
+		n, err := m.round(donor, epoch)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
@@ -371,11 +368,8 @@ func (m *Manager) syncOnce(donor string, epoch uint64) (err error) {
 }
 
 // round runs one digest-diff-repair cycle against the donor and
-// returns how many ranges (objects + meta) it had to repair. With full
-// set (the FullResync ablation's initial transfer) the diff is skipped
-// and every range the donor holds streams; verification rounds always
-// run the real diff so the session can converge.
-func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
+// returns how many ranges (objects + meta) it had to repair.
+func (m *Manager) round(donor string, epoch uint64) (int, error) {
 	local, err := BuildDigest(m.opts.DB, m.opts.Buckets)
 	if err != nil {
 		return 0, err
@@ -389,16 +383,8 @@ func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
 		return 0, err
 	}
 
-	var bucketList []uint64
-	if full {
-		// Ablation: skip the diff, drill into everything.
-		for i := 0; i < m.opts.Buckets; i++ {
-			bucketList = append(bucketList, uint64(i))
-		}
-	} else {
-		bucketList = DiffBuckets(local.Buckets, remote.buckets)
-	}
-	metaDiverged := local.Meta != remote.meta || full
+	bucketList := DiffBuckets(local.Buckets, remote.buckets)
+	metaDiverged := local.Meta != remote.meta
 	if len(bucketList) == 0 && !metaDiverged {
 		return 0, nil
 	}
@@ -432,11 +418,6 @@ func (m *Manager) round(donor string, epoch uint64, full bool) (int, error) {
 		bucketSet[b] = true
 	}
 	syncIDs, dropIDs := ObjectDiff(local, objs.ids, objs.digests, bucketSet, m.opts.Buckets)
-	if full {
-		// Stream everything the donor holds, not just the mismatches
-		// (ObjectDiff still supplies the local-only ids to drop).
-		syncIDs = append([]uint64(nil), objs.ids...)
-	}
 	if m.diverged != nil {
 		m.diverged.Add(uint64(len(syncIDs) + len(dropIDs)))
 	}

@@ -156,7 +156,7 @@ func decodeApplyBatch(body []byte) (*applyBatchMsg, error) {
 // use; write-sets of different objects ship concurrently (they commute),
 // while per-object ordering is inherited from the object scheduler.
 //
-// By default concurrent ships to the same backup coalesce: each backup has
+// Concurrent ships to the same backup coalesce: each backup has
 // a send lane whose loop drains every queued write-set into one
 // MethodApplyBatch frame, so N concurrent commits cost one RPC round trip
 // instead of N. Acks release all member commits at once; a frame error
@@ -174,9 +174,6 @@ type Shipper struct {
 	// misses a write-set; the cluster layer reports it to the coordinator.
 	onFailure func(addr string, err error)
 	shipped   uint64
-	// noCoalesce disables the per-backup lanes (ablation): every ship then
-	// performs its own single-entry applyBatch round trip.
-	noCoalesce bool
 
 	lanesMu     sync.Mutex
 	lanes       map[string]*shipLane
@@ -304,14 +301,6 @@ func (s *Shipper) SetTelemetry(reg *telemetry.Registry) {
 // Zero (the initial value) ships unfenced frames that any backup accepts.
 func (s *Shipper) SetEpoch(epoch uint64) { s.epoch.Store(epoch) }
 
-// SetCoalescing toggles per-backup ship coalescing (default on). Used by
-// the write-path ablation.
-func (s *Shipper) SetCoalescing(enabled bool) {
-	s.mu.Lock()
-	s.noCoalesce = !enabled
-	s.mu.Unlock()
-}
-
 // Close stops the per-backup send lanes, failing any queued ships. Further
 // ships to lanes fail with a closed error; callers should stop committing
 // first.
@@ -358,7 +347,8 @@ func (s *Shipper) Shipped() uint64 {
 // reconfigure the group), so Ship returns the first error only for callers
 // that want strict semantics.
 func (s *Shipper) Ship(object uint64, b *store.Batch) error {
-	return s.ShipCtx(telemetry.SpanContext{}, object, b)
+	_, err := s.ShipCtx(telemetry.SpanContext{}, object, b)
+	return err
 }
 
 // shipEntry is one write-set queued on a backup's send lane. done is
@@ -488,15 +478,15 @@ func (s *Shipper) shipFrame(addr string, entries []*shipEntry) error {
 }
 
 // ShipCtx is Ship carrying the committing request's trace context, so the
-// backup-side apply spans join the caller's trace.
-func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Batch) error {
+// backup-side apply spans join the caller's trace. It also reports how many
+// backups the write-set was fanned out to.
+func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Batch) (int, error) {
 	s.mu.RLock()
 	backups := s.backups
 	shipUs := s.shipUs
-	coalesce := !s.noCoalesce
 	s.mu.RUnlock()
 	if len(backups) == 0 {
-		return nil
+		return 0, nil
 	}
 	var start time.Time
 	if shipUs != nil {
@@ -505,23 +495,16 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 	data := b.Encode()
 
 	// Fan the write-set out to every backup and collect one error per
-	// backup. Coalesced mode enqueues on each backup's lane; the ablation
-	// path performs its own single-entry frame per backup.
+	// backup, each enqueued on that backup's send lane.
 	entries := make([]*shipEntry, len(backups))
 	for i, addr := range backups {
 		e := &shipEntry{object: object, data: data, ctx: ctx, done: make(chan error, 1)}
 		entries[i] = e
-		if coalesce {
-			lane := s.lane(addr)
-			if lane == nil {
-				e.done <- errShipperClosed
-			} else if err := lane.enqueue(e); err != nil {
-				e.done <- err
-			}
-		} else {
-			go func(addr string, e *shipEntry) {
-				e.done <- s.shipFrame(addr, []*shipEntry{e})
-			}(addr, e)
+		lane := s.lane(addr)
+		if lane == nil {
+			e.done <- errShipperClosed
+		} else if err := lane.enqueue(e); err != nil {
+			e.done <- err
 		}
 	}
 
@@ -551,7 +534,7 @@ func (s *Shipper) ShipCtx(ctx telemetry.SpanContext, object uint64, b *store.Bat
 			s.shippedCtr.Inc()
 		}
 	}
-	return firstErr
+	return len(backups), firstErr
 }
 
 // Applier is the backup-side sink for shipped write-sets (implemented by

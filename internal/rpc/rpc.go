@@ -302,9 +302,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
-	// noCoalesce disables per-connection response-write coalescing
-	// (ablation; see SetWriteCoalescing).
-	noCoalesce bool
 
 	metrics *serverMetrics
 
@@ -337,14 +334,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		handleUs:  reg.Histogram("rpc.server.handle"),
 		coalesced: reg.Counter("rpc.frames_coalesced"),
 	}
-}
-
-// SetWriteCoalescing toggles per-connection coalescing of response writes
-// (default on). Call before Serve; used by the write-path ablation.
-func (s *Server) SetWriteCoalescing(enabled bool) {
-	s.mu.Lock()
-	s.noCoalesce = !enabled
-	s.mu.Unlock()
 }
 
 // Handle registers fn for method, replacing any existing registration.
@@ -420,10 +409,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	s.mu.RLock()
-	coalesce := !s.noCoalesce
 	srvMetrics := s.metrics
 	s.mu.RUnlock()
-	cw := newConnWriter(conn, coalesce)
+	cw := newConnWriter(conn, true)
 	if srvMetrics != nil {
 		cw.coalesced.Store(srvMetrics.coalesced)
 	}
@@ -533,7 +521,7 @@ type ClientOptions struct {
 	DialTimeout time.Duration
 	// DisableWriteCoalescing turns off per-connection batching of request
 	// writes (every call then pays its own conn.Write). Used by the
-	// write-path ablation.
+	// rebalance benchmark's per-frame capacity model.
 	DisableWriteCoalescing bool
 }
 

@@ -34,7 +34,7 @@ func (db *DB) backgroundLoop() {
 			switch {
 			case db.imm != nil:
 				work = db.meteredFlush
-			case !db.opts.DisableCompaction && db.pickCompactionLevel() >= 0:
+			case db.pickCompactionLevel() >= 0:
 				work = db.meteredCompact
 			}
 			if work == nil {
@@ -127,10 +127,11 @@ func (db *DB) flushMemtable() error {
 	}
 
 	db.mu.Lock()
-	db.current = edit.apply(db.current)
+	old := db.installVersion(edit.apply(db.current))
 	db.imm = nil
 	db.cond.Broadcast()
 	db.mu.Unlock()
+	db.unrefVersion(old)
 
 	os.Remove(walPath(db.dir, immWal))
 	return nil
@@ -360,15 +361,12 @@ func (db *DB) runCompaction(level int, inputs, inputs2 []*tableMeta, smallestSna
 		return err
 	}
 	db.mu.Lock()
-	db.current = edit.apply(db.current)
+	old := db.installVersion(edit.apply(db.current))
 	db.cond.Broadcast()
 	db.mu.Unlock()
 
-	// Retire the input files: evict readers (closed when drained) and
-	// unlink. Open FDs keep data readable for in-flight users.
-	for _, d := range edit.deleted {
-		db.tcache.evict(d.fileNum)
-		os.Remove(tablePath(db.dir, d.fileNum))
-	}
+	// Retire the input files, or leave that to the last reader still
+	// holding the old version.
+	db.unrefVersion(old)
 	return nil
 }

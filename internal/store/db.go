@@ -57,7 +57,7 @@ type DB struct {
 
 	tcache *tableCache
 
-	// sc is the hot-object state cache (nil when disabled): a sharded LRU
+	// sc is the hot-object state cache: a sharded LRU
 	// of committed key→value records write-through-updated by the commit
 	// paths. See statecache.go for the staleness protocol.
 	sc *stateCache
@@ -124,9 +124,9 @@ func Open(dir string, opts *Options) (*DB, error) {
 		mem:      newMemtable(),
 		lastSeq:  lastSeq,
 		nextFile: nextFile,
-		current:  v,
 		snaps:    make(map[uint64]int),
 		tcache:   newTableCache(dir, opts.BlockCacheBytes),
+		sc:       newStateCache(stateCacheEntries),
 		bgWork:   make(chan struct{}, 1),
 		bgQuit:   make(chan struct{}),
 		bgDone:   make(chan struct{}),
@@ -134,10 +134,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if opts.Metrics != nil {
 		db.metrics = newDBMetrics(opts.Metrics)
 	}
-	if opts.StateCacheEntries > 0 {
-		db.sc = newStateCache(opts.StateCacheEntries)
-	}
 	db.cond = sync.NewCond(&db.mu)
+	db.installVersion(v)
 
 	// Replay every WAL at least as new as the manifest's log number.
 	logs, err := findLogs(dir, logNum)
@@ -321,9 +319,6 @@ func (db *DB) Write(b *Batch) error {
 	if b.Empty() {
 		return nil
 	}
-	if db.opts.DisableGroupCommit {
-		return db.writeSolo(b)
-	}
 	w := &dbWriter{batch: b, ready: make(chan struct{}, 1)}
 	db.mu.Lock()
 	if db.closed {
@@ -344,45 +339,6 @@ func (db *DB) Write(b *Batch) error {
 	}
 	db.mu.Unlock()
 	return w.err
-}
-
-// writeSolo is the pre-group-commit write path: WAL append (and fsync when
-// configured) under the commit lock, one batch at a time. Kept for the
-// write-path ablation (Options.DisableGroupCommit).
-func (db *DB) writeSolo(b *Batch) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-	b.startSeq = db.lastSeq + 1
-	rec := b.encode(nil)
-	var syncStart time.Time
-	if db.metrics != nil && db.opts.SyncWrites {
-		syncStart = time.Now()
-	}
-	if err := db.wal.append(rec, db.opts.SyncWrites); err != nil {
-		return err
-	}
-	if m := db.metrics; m != nil {
-		m.writes.Inc()
-		m.walBytes.Add(uint64(len(rec)))
-		if db.opts.SyncWrites {
-			m.walSyncs.Inc()
-			m.fsyncUs.Record(time.Since(syncStart))
-		}
-	}
-	if err := b.apply(db.mem); err != nil {
-		return err
-	}
-	if db.sc != nil {
-		db.sc.applyBatch(b)
-	}
-	db.lastSeq += uint64(b.count)
-	return nil
 }
 
 // groupWaitTarget is the queue depth at which a lingering leader stops
@@ -491,11 +447,9 @@ func (db *DB) commitGroup() {
 				// consumed either way, so later members stay consistent.
 				w.err = aerr
 			}
-			if db.sc != nil {
-				// Write-through before lastSeq advances, so no reader can
-				// pair the new sequence with a stale cached record.
-				db.sc.applyBatch(w.batch)
-			}
+			// Write-through before lastSeq advances, so no reader can
+			// pair the new sequence with a stale cached record.
+			db.sc.applyBatch(w.batch)
 			if m := db.metrics; m != nil {
 				m.writes.Inc()
 				m.walBytes.Add(uint64(len(records[i])))
@@ -599,20 +553,14 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	// State-cache fast path: any live entry is valid for the latest state
 	// (entries are write-through-updated before lastSeq advances), and the
 	// hit avoids db.mu entirely.
-	if db.sc != nil {
-		if val, present, ok := db.sc.lookup(key, ^uint64(0)); ok {
-			if !present {
-				return nil, ErrNotFound
-			}
-			return val, nil
+	if val, present, ok := db.sc.lookup(key, ^uint64(0)); ok {
+		if !present {
+			return nil, ErrNotFound
 		}
+		return val, nil
 	}
 	db.mu.Lock()
-	seq := db.lastSeq
-	var gen uint64
-	if db.sc != nil {
-		gen = db.sc.gen.Load()
-	}
+	seq, gen := db.lastSeq, db.sc.gen.Load()
 	db.mu.Unlock()
 	return db.getAtFill(key, seq, gen)
 }
@@ -623,17 +571,13 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // cache's shard lock. fn must not retain or mutate the slice. This is the
 // result-cache validation path, which only hashes the value.
 func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error {
-	if db.sc != nil && db.sc.visit(key, fn) {
+	if db.sc.visit(key, fn) {
 		return nil
 	}
 	// Miss: take the regular fill path (which populates the state cache)
 	// without re-probing the cache.
 	db.mu.Lock()
-	seq := db.lastSeq
-	var gen uint64
-	if db.sc != nil {
-		gen = db.sc.gen.Load()
-	}
+	seq, gen := db.lastSeq, db.sc.gen.Load()
 	db.mu.Unlock()
 	v, err := db.getAtFill(key, seq, gen)
 	if err != nil {
@@ -651,13 +595,11 @@ func (db *DB) VisitLatest(key []byte, fn func(value []byte, present bool)) error
 // captured together with seq (under db.mu), used to gate miss-path
 // population of the state cache.
 func (db *DB) getAt(key []byte, seq, gen uint64) ([]byte, error) {
-	if db.sc != nil {
-		if val, present, ok := db.sc.lookup(key, seq); ok {
-			if !present {
-				return nil, ErrNotFound
-			}
-			return val, nil
+	if val, present, ok := db.sc.lookup(key, seq); ok {
+		if !present {
+			return nil, ErrNotFound
 		}
+		return val, nil
 	}
 	return db.getAtFill(key, seq, gen)
 }
@@ -666,12 +608,10 @@ func (db *DB) getAt(key []byte, seq, gen uint64) ([]byte, error) {
 // captured generation is still current (no commit raced the read).
 func (db *DB) getAtFill(key []byte, seq, gen uint64) ([]byte, error) {
 	val, err := db.getAtSlow(key, seq)
-	if db.sc != nil {
-		if err == nil {
-			db.sc.insert(key, val, true, seq, gen)
-		} else if err == ErrNotFound {
-			db.sc.insert(key, nil, false, seq, gen)
-		}
+	if err == nil {
+		db.sc.insert(key, val, true, seq, gen)
+	} else if err == ErrNotFound {
+		db.sc.insert(key, nil, false, seq, gen)
 	}
 	return val, err
 }
@@ -684,8 +624,9 @@ func (db *DB) getAtSlow(key []byte, seq uint64) ([]byte, error) {
 		db.mu.Unlock()
 		return nil, ErrClosed
 	}
-	mem, imm, v := db.mem, db.imm, db.current
+	mem, imm, v := db.mem, db.imm, db.pinCurrent()
 	db.mu.Unlock()
+	defer db.unrefVersion(v)
 
 	if val, deleted, present := mem.get(key, seq); present {
 		if deleted {
@@ -771,11 +712,7 @@ func (db *DB) GetSnapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.snaps[db.lastSeq]++
-	s := &Snapshot{db: db, seq: db.lastSeq}
-	if db.sc != nil {
-		s.gen = db.sc.gen.Load()
-	}
-	return s
+	return &Snapshot{db: db, seq: db.lastSeq, gen: db.sc.gen.Load()}
 }
 
 // Get reads key at the snapshot.
@@ -851,7 +788,7 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 		db.mu.Unlock()
 		return nil, ErrClosed
 	}
-	mem, imm, v := db.mem, db.imm, db.current
+	mem, imm, v := db.mem, db.imm, db.pinCurrent()
 	db.mu.Unlock()
 
 	var iters []internalIterator
@@ -859,13 +796,17 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 	if imm != nil {
 		iters = append(iters, imm.iterator())
 	}
-	// refs holds table-cache references pinned for the iterator's lifetime,
-	// so compaction can never close a reader out from under it.
+	// The pinned version keeps every table file on disk for the iterator's
+	// lifetime; refs holds the L0 readers it opened up front.
 	var refs []func()
-	fail := func(err error) (*Iterator, error) {
+	unpin := func() {
 		for _, c := range refs {
 			c()
 		}
+		db.unrefVersion(v)
+	}
+	fail := func(err error) (*Iterator, error) {
+		unpin()
 		return nil, err
 	}
 	for _, t := range v.levels[0] {
@@ -880,13 +821,6 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 		if len(v.levels[level]) == 0 {
 			continue
 		}
-		for _, t := range v.levels[level] {
-			_, release, err := db.tcache.acquire(t.fileNum)
-			if err != nil {
-				return fail(err)
-			}
-			refs = append(refs, release)
-		}
 		iters = append(iters, newConcatIter(v.levels[level], func(t *tableMeta) (internalIterator, error) {
 			r, release, err := db.tcache.acquire(t.fileNum)
 			if err != nil {
@@ -897,13 +831,7 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 	}
 
 	merged := newMergingIter(iters...)
-	it := &Iterator{it: merged, seq: seq}
-	it.closer = func() {
-		for _, c := range refs {
-			c()
-		}
-	}
-	return it, nil
+	return &Iterator{it: merged, seq: seq, closer: unpin}, nil
 }
 
 // LastSequence returns the newest committed sequence number.
@@ -929,13 +857,7 @@ func (db *DB) CompactNow() error {
 // hasWork reports whether a flush or compaction is pending. Called with
 // db.mu held.
 func (db *DB) hasWork() bool {
-	if db.imm != nil {
-		return true
-	}
-	if db.opts.DisableCompaction {
-		return false
-	}
-	return db.pickCompactionLevel() >= 0
+	return db.imm != nil || db.pickCompactionLevel() >= 0
 }
 
 // Flush forces the current memtable to disk (used by tests).
@@ -993,11 +915,8 @@ func (db *DB) BlockCacheStats() (hits, misses uint64) {
 }
 
 // StateCacheStats reports cumulative hot-object state cache hits and
-// misses (both zero when the cache is disabled).
+// misses.
 func (db *DB) StateCacheStats() (hits, misses uint64) {
-	if db.sc == nil {
-		return 0, 0
-	}
 	return db.sc.stats()
 }
 

@@ -116,42 +116,6 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisabledMatchesSoloSemantics: with the ablation switch on,
-// every commit pays its own fsync (the unbatched baseline the benchmark
-// compares against) and durability still holds across reopen.
-func TestGroupCommitDisabledMatchesSoloSemantics(t *testing.T) {
-	const writers, perWriter = 4, 20
-	reg := telemetry.NewRegistry()
-	opts := testOptions()
-	opts.SyncWrites = true
-	opts.DisableGroupCommit = true
-	opts.Metrics = reg
-	dir := t.TempDir()
-	db, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	writeConcurrently(t, db, writers, perWriter)
-
-	commits := reg.Counter("store.writes").Value()
-	syncs := reg.Counter("store.wal_syncs").Value()
-	if commits != writers*perWriter || syncs != commits {
-		t.Fatalf("unbatched: commits=%d syncs=%d, want both %d", commits, syncs, writers*perWriter)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	db, err = Open(dir, opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db.Close()
-	v, err := db.Get([]byte("w00-k0000"))
-	if err != nil || len(v) == 0 {
-		t.Fatalf("after reopen: %q, %v", v, err)
-	}
-}
-
 // TestBatchAppend covers the frame-merge primitive backups use to collapse
 // a coalesced replication frame into one commit.
 func TestBatchAppend(t *testing.T) {

@@ -46,12 +46,6 @@ type Options struct {
 	LevelBaseBytes int64
 	// LevelMultiplier is the size ratio between adjacent levels.
 	LevelMultiplier int64
-	// DisableGroupCommit turns off WAL group commit: every Write then
-	// performs its own WAL append (and fsync when SyncWrites is set) while
-	// holding the commit lock, instead of joining a write group that
-	// amortizes both across concurrent committers. Used by the write-path
-	// ablation; production keeps group commit on.
-	DisableGroupCommit bool
 	// SyncWrites forces an fsync of the WAL on every committed batch. The
 	// paper's latency numbers do not depend on fsync behaviour; benchmarks
 	// default to false (like LevelDB's default) while durability tests turn
@@ -64,15 +58,6 @@ type Options struct {
 	// writer concurrency has actually been observed (the commit_siblings
 	// analog), so strictly sequential workloads never pay the delay.
 	GroupCommitWait time.Duration
-	// DisableCompaction turns off background compaction (used by tests to
-	// control table layout deterministically).
-	DisableCompaction bool
-	// StateCacheEntries bounds the hot-object state cache: a sharded LRU of
-	// committed key→value records consulted by Get/Snapshot.Get before the
-	// memtable/SSTable lookup and write-through-updated on commit. Zero
-	// picks the default; negative disables the cache (the read-path
-	// ablation).
-	StateCacheEntries int
 	// Metrics, if set, receives storage counters: batch writes, WAL bytes
 	// and syncs, memtable flushes, and compactions.
 	Metrics *telemetry.Registry
@@ -81,7 +66,6 @@ type Options struct {
 // NewOptions returns production defaults scaled for test-friendly sizes.
 func NewOptions() *Options {
 	return &Options{
-		StateCacheEntries:    16 << 10,
 		MemtableBytes:        4 << 20,
 		BlockBytes:           4 << 10,
 		BlockRestartInterval: 16,
@@ -103,12 +87,6 @@ func (o *Options) sanitize() *Options {
 	out := *o
 	if out.MemtableBytes <= 0 {
 		out.MemtableBytes = def.MemtableBytes
-	}
-	if out.StateCacheEntries == 0 {
-		out.StateCacheEntries = def.StateCacheEntries
-	}
-	if out.StateCacheEntries < 0 {
-		out.StateCacheEntries = 0
 	}
 	if out.BlockBytes <= 0 {
 		out.BlockBytes = def.BlockBytes

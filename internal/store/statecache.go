@@ -46,6 +46,10 @@ type scEntry struct {
 	elem    *list.Element
 }
 
+// stateCacheEntries bounds the state cache: the number of committed
+// records it holds across all shards.
+const stateCacheEntries = 16 << 10
+
 // scShardCount is the lock-stripe width; reads of distinct hot keys should
 // essentially never contend.
 const scShardCount = 64

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lambdastore/internal/wire"
 )
@@ -20,6 +21,9 @@ type tableMeta struct {
 	size     uint64
 	smallest internalKey
 	largest  internalKey
+	// refs counts the live versions that list this table. The file is
+	// removed when the last one is released (see DB.unrefVersion).
+	refs atomic.Int32
 }
 
 // overlaps reports whether the table's user-key range intersects
@@ -37,8 +41,12 @@ func (t *tableMeta) overlaps(lo, hi []byte) bool {
 // version is an immutable snapshot of the table layout. L0 tables overlap
 // and are ordered newest-first; deeper levels are sorted by smallest key
 // and non-overlapping.
+//
+// A version stays live, and every table file it lists stays on disk, while
+// it is DB.current or pinned by a reader; refs counts both.
 type version struct {
 	levels [numLevels][]*tableMeta
+	refs   atomic.Int32
 }
 
 // clone returns a shallow copy whose level slices can be mutated
@@ -49,6 +57,53 @@ func (v *version) clone() *version {
 		nv.levels[i] = append([]*tableMeta(nil), v.levels[i]...)
 	}
 	return nv
+}
+
+// retain gives a newly installed v its current-version reference and one
+// reference on every table it lists.
+func (v *version) retain() {
+	v.refs.Store(1)
+	for _, level := range v.levels {
+		for _, t := range level {
+			t.refs.Add(1)
+		}
+	}
+}
+
+// installVersion makes nv current and returns the version it replaces.
+// The caller drops that version's reference with unrefVersion after
+// releasing db.mu. Called with db.mu held.
+func (db *DB) installVersion(nv *version) *version {
+	nv.retain()
+	old := db.current
+	db.current = nv
+	return old
+}
+
+// pinCurrent returns db.current with an extra reference, which keeps every
+// table it lists on disk until the caller passes it to unrefVersion.
+// Called with db.mu held, so the version cannot be retired meanwhile.
+func (db *DB) pinCurrent() *version {
+	v := db.current
+	v.refs.Add(1)
+	return v
+}
+
+// unrefVersion drops one reference to v. With the last one gone, each
+// table no live version still lists leaves the table cache and the disk;
+// open readers keep their data until they drain.
+func (db *DB) unrefVersion(v *version) {
+	if v.refs.Add(-1) > 0 {
+		return
+	}
+	for _, level := range v.levels {
+		for _, t := range level {
+			if t.refs.Add(-1) == 0 {
+				db.tcache.evict(t.fileNum)
+				os.Remove(tablePath(db.dir, t.fileNum))
+			}
+		}
+	}
 }
 
 // levelBytes returns the total file size of a level.

@@ -41,20 +41,10 @@ const (
 	// TierThreaded runs compiled token-threaded code, falling back to the
 	// interpreter for modules the compiler rejects. The default.
 	TierThreaded Tier = iota
-	// TierInterp forces the switch interpreter (the ablation baseline).
+	// TierInterp forces the switch interpreter: the differential-test
+	// oracle the threaded tier is held to.
 	TierInterp
 )
-
-// ParseTier parses a tier name; the empty string means the default.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "threaded":
-		return TierThreaded, nil
-	case "interp", "interpreter":
-		return TierInterp, nil
-	}
-	return TierThreaded, fmt.Errorf("vm: unknown tier %q (want threaded or interp)", s)
-}
 
 func (t Tier) String() string {
 	if t == TierInterp {

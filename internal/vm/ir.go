@@ -7,8 +7,8 @@ package vm
 // first, then one register per stack slot). The same analysis doubles as
 // the compilability check — a module where any function has inconsistent
 // depths, or whose call graph never settles on a fixed per-function return
-// count, is left to the interpreter (the automatic fallback the ablation
-// counters report).
+// count, is left to the interpreter (the automatic fallback the
+// vm.interp_fallbacks counter reports).
 
 // hostSig is the shape of a resolved host function that stack analysis
 // depends on. It is recorded at compile time so a later instantiation

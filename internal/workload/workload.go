@@ -255,15 +255,6 @@ func (r Result) String() string {
 // back-to-back, until totalOps complete (the paper's closed-loop client
 // model: "up to 100 concurrent client requests").
 func RunClosedLoop(cfg Config, workload string, inv Invoker, concurrency, totalOps int) (Result, error) {
-	return RunClosedLoopOps(workload, func(worker int) (func() error, error) {
-		return OpStream(cfg, workload, inv, worker)
-	}, concurrency, totalOps)
-}
-
-// RunClosedLoopOps is RunClosedLoop with a caller-supplied op stream —
-// for benchmarks that need a variation of a named workload (e.g. the
-// read-path sweep's deeper timeline reads).
-func RunClosedLoopOps(workload string, opFor func(worker int) (func() error, error), concurrency, totalOps int) (Result, error) {
 	if concurrency <= 0 {
 		concurrency = 1
 	}
@@ -280,7 +271,7 @@ func RunClosedLoopOps(workload string, opFor func(worker int) (func() error, err
 	var wg sync.WaitGroup
 	errCh := make(chan error, concurrency)
 	for w := 0; w < concurrency; w++ {
-		op, err := opFor(w)
+		op, err := OpStream(cfg, workload, inv, w)
 		if err != nil {
 			return Result{}, err
 		}
