@@ -31,10 +31,12 @@ test:
 
 # The packages where a data race would actually hide: the runtime, the
 # cluster node, the caches on the read path, the store, the telemetry
-# instruments themselves, and the VM (lazy module compilation is shared
-# across instances; the differential test runs both tiers under -race).
+# instruments themselves, the VM (lazy module compilation is shared
+# across instances; the differential test runs both tiers under -race),
+# and the RPC layer (every connection's writes go through one coalescing
+# flusher).
 race:
-	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/
+	$(GO) test -race ./internal/core/ ./internal/cluster/ ./internal/cache/ ./internal/store/ ./internal/telemetry/ ./internal/rebalance/ ./internal/replication/ ./internal/vm/ ./internal/admission/ ./internal/rpc/
 
 # Deterministic failover chaos: every seed replays the same kill/partition/
 # fsync-failure schedule (see EXPERIMENTS.md "Chaos runs"). The smoke
@@ -52,7 +54,8 @@ bench-recovery:
 	$(GO) run ./cmd/lambda-bench -recovery -out results/BENCH_recovery.json
 
 # Rebalance: uniform Post throughput at 1/4/16/48 single-node groups
-# (per-node admission modeled with an injected per-frame receive delay),
+# (per-node capacity is one admission slot held 500us per invocation by
+# an injected invoke-site delay),
 # then the Zipf(1.1) correlated hot spot at 16 groups with the rebalancer
 # off vs on. The acceptance bar is >=1.5x from rebalancing and a move
 # count that plateaus instead of oscillating.
@@ -62,7 +65,8 @@ bench-rebalance:
 # Overload: seeded open-loop Poisson arrivals swept from half the measured
 # closed-loop capacity to 1.8x past it (latency measured CO-safe from each
 # intended arrival slot), against the same deployment with the admission
-# plane off (unbounded queueing) vs on (bounded queue + deadline shed).
+# plane never shedding (queue and deadline beyond anything the sweep
+# builds) vs shedding (bounded queue + deadline).
 # The acceptance bar is a shed-config admitted-request p99 that stays a
 # small multiple of its pre-knee value while the no-shed p99 collapses.
 bench-overload:

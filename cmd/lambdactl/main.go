@@ -583,9 +583,8 @@ func runAdmission(args []string) {
 			fmt.Println("  admission plane disabled")
 			continue
 		}
-		fmt.Printf("  slots %d/%d busy, queue %d/%d (%s), deadline %.1fms\n",
-			st.Active, st.Workers, st.QueueDepth, st.QueueLimit,
-			map[bool]string{true: "LIFO", false: "FIFO"}[st.LIFO], st.DeadlineMs)
+		fmt.Printf("  slots %d/%d busy, queue %d/%d, deadline %.1fms\n",
+			st.Active, st.Workers, st.QueueDepth, st.QueueLimit, st.DeadlineMs)
 		fmt.Printf("  admitted=%d queued=%d shed: deadline=%d quota=%d full=%d\n",
 			st.Admitted, st.Queued, st.ShedDeadline, st.ShedQuota, st.ShedFull)
 		fmt.Printf("  ewma service latency %dus", st.EWMALatencyUs)

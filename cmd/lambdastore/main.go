@@ -19,6 +19,7 @@ import (
 	"strings"
 	"syscall"
 
+	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
 )
@@ -38,9 +39,8 @@ func main() {
 		slow       = flag.Duration("slow", 0, "log invocations slower than this (0 disables)")
 		rejoin     = flag.Bool("rejoin", false, "anti-entropy rejoin: when deposed from the group, catch up from the primary via range digests and re-admit through the coordinator")
 		recRate    = flag.Int("recovery-rate", 0, "rejoin catch-up streaming rate limit in bytes/sec (0 = unlimited)")
-		admQueue   = flag.Int("admission-queue", 0, "admission plane: bounded wait-queue size in front of execution; overload is shed with a retryable error (0 disables)")
+		admQueue   = flag.Int("admission-queue", 0, "admission plane: bounded wait-queue size in front of execution; overload is shed with a retryable error (0 = default)")
 		admDead    = flag.Duration("admission-deadline", 0, "admission plane: max queue wait before a request is shed (0 = default)")
-		admLIFO    = flag.Bool("admission-lifo", false, "admission plane: drain the wait queue newest-first")
 		admWorkers = flag.Int("admission-workers", 0, "admission plane: concurrent execution slots (0 = NumCPU)")
 		tenantQPS  = flag.Float64("tenant-qps", 0, "admission plane: per-tenant token-bucket rate limit in requests/sec (0 disables)")
 	)
@@ -65,11 +65,16 @@ func main() {
 		SlowTraceThreshold:     *slow,
 		Rejoin:                 *rejoin,
 		RecoveryMaxBytesPerSec: *recRate,
-		MaxConcurrentInvokes:   *admWorkers,
-		AdmissionQueue:         *admQueue,
-		AdmissionDeadline:      *admDead,
-		AdmissionLIFO:          *admLIFO,
-		TenantQPS:              *tenantQPS,
+	}
+	// Any non-zero admission flag arms the plane; unset ones keep the
+	// plane's defaults.
+	if *admQueue != 0 || *admDead != 0 || *admWorkers != 0 || *tenantQPS != 0 {
+		opts.Admission = &admission.Options{
+			Workers:    *admWorkers,
+			QueueLimit: *admQueue,
+			Deadline:   *admDead,
+			TenantQPS:  *tenantQPS,
+		}
 	}
 	if *configPath != "" {
 		cfg, err := cluster.LoadConfigFile(*configPath)

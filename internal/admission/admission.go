@@ -10,9 +10,7 @@
 //   - Deadline shedding: a request whose queue wait exceeds its deadline
 //     is rejected — both by its own timer while waiting and by the drain
 //     path before a worker is wasted on a request the client has likely
-//     already given up on. The queue drains FIFO (fairness) or LIFO
-//     (fresh-first: under a burst the newest requests still meet their
-//     deadline while the oldest, already doomed, are shed).
+//     already given up on. The queue drains oldest-first.
 //   - Per-tenant token buckets keyed off the RPC frame identity, so one
 //     greedy client cannot starve the rest of the node's capacity.
 //
@@ -83,14 +81,10 @@ type Options struct {
 	// Deadline bounds queue wait before a request is shed (default
 	// DefaultDeadline).
 	Deadline time.Duration
-	// LIFO drains the queue newest-first instead of oldest-first.
-	LIFO bool
 	// TenantQPS, when positive, enforces a per-tenant token-bucket rate
-	// limit ahead of the queue. Zero disables quotas.
+	// limit ahead of the queue; each bucket holds one second of quota
+	// (at least one token). Zero disables quotas.
 	TenantQPS float64
-	// TenantBurst is the bucket capacity in tokens (default
-	// max(1, TenantQPS): one second of quota).
-	TenantBurst float64
 	// Metrics receives the plane's instruments; nil keeps private ones.
 	Metrics *telemetry.Registry
 	// Now overrides the clock (deterministic tests).
@@ -123,6 +117,8 @@ type Plane struct {
 	opts Options
 	now  func() time.Time
 
+	burst float64 // tenant bucket capacity in tokens
+
 	mu     sync.Mutex
 	active int
 	queue  []*waiter
@@ -154,13 +150,7 @@ func New(opts Options) *Plane {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultDeadline
 	}
-	if opts.TenantBurst <= 0 {
-		opts.TenantBurst = opts.TenantQPS
-		if opts.TenantBurst < 1 {
-			opts.TenantBurst = 1
-		}
-	}
-	p := &Plane{opts: opts, now: opts.Now, buckets: make(map[string]*bucket)}
+	p := &Plane{opts: opts, now: opts.Now, burst: max(1, opts.TenantQPS), buckets: make(map[string]*bucket)}
 	if p.now == nil {
 		p.now = time.Now
 	}
@@ -246,16 +236,9 @@ func (p *Plane) release() {
 	now := p.now()
 	p.mu.Lock()
 	for len(p.queue) > 0 {
-		var w *waiter
-		if p.opts.LIFO {
-			w = p.queue[len(p.queue)-1]
-			p.queue[len(p.queue)-1] = nil
-			p.queue = p.queue[:len(p.queue)-1]
-		} else {
-			w = p.queue[0]
-			p.queue[0] = nil
-			p.queue = p.queue[1:]
-		}
+		w := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
 		if now.Sub(w.enq) > p.opts.Deadline {
 			w.granted = false
 			w.reason = "queue wait exceeded deadline"
@@ -298,12 +281,12 @@ func (p *Plane) takeToken(tenant string, now time.Time) bool {
 		if len(p.buckets) >= maxTenants {
 			p.pruneLocked(now)
 		}
-		b = &bucket{tokens: p.opts.TenantBurst, last: now}
+		b = &bucket{tokens: p.burst, last: now}
 		p.buckets[tenant] = b
 	}
 	b.tokens += now.Sub(b.last).Seconds() * p.opts.TenantQPS
-	if b.tokens > p.opts.TenantBurst {
-		b.tokens = p.opts.TenantBurst
+	if b.tokens > p.burst {
+		b.tokens = p.burst
 	}
 	b.last = now
 	if b.tokens < 1 {
@@ -317,7 +300,7 @@ func (p *Plane) takeToken(tenant string, now time.Time) bool {
 // long enough that forgetting them loses nothing.
 func (p *Plane) pruneLocked(now time.Time) {
 	for t, b := range p.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*p.opts.TenantQPS >= p.opts.TenantBurst {
+		if b.tokens+now.Sub(b.last).Seconds()*p.opts.TenantQPS >= p.burst {
 			delete(p.buckets, t)
 		}
 	}
@@ -377,7 +360,6 @@ type Status struct {
 	Active        int     `json:"active"`
 	QueueDepth    int     `json:"queue_depth"`
 	QueueLimit    int     `json:"queue_limit"`
-	LIFO          bool    `json:"lifo"`
 	DeadlineMs    float64 `json:"deadline_ms"`
 	TenantQPS     float64 `json:"tenant_qps"`
 	Tenants       int     `json:"tenants"`
@@ -403,7 +385,6 @@ func (p *Plane) Status() Status {
 		Active:        active,
 		QueueDepth:    depth,
 		QueueLimit:    p.opts.QueueLimit,
-		LIFO:          p.opts.LIFO,
 		DeadlineMs:    float64(p.opts.Deadline) / float64(time.Millisecond),
 		TenantQPS:     p.opts.TenantQPS,
 		Tenants:       tenants,

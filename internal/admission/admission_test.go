@@ -170,8 +170,8 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 	}
 }
 
-func TestLIFODrainsNewestFirst(t *testing.T) {
-	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second, LIFO: true})
+func TestFIFODrainsOldestFirst(t *testing.T) {
+	p := New(Options{Workers: 1, QueueLimit: 8, Deadline: 5 * time.Second})
 	rel, err := p.Admit("")
 	if err != nil {
 		t.Fatalf("admit: %v", err)
@@ -196,20 +196,20 @@ func TestLIFODrainsNewestFirst(t *testing.T) {
 	rb := enqueue("B")
 	waitFor(t, "B queued", func() bool { return p.Status().QueueDepth == 2 })
 	rel()
-	if first := <-order; first != "B" {
-		t.Fatalf("LIFO drained %q first, want B", first)
-	}
-	(<-rb)()
-	if second := <-order; second != "A" {
-		t.Fatalf("second grant %q, want A", second)
+	if first := <-order; first != "A" {
+		t.Fatalf("drained %q first, want A", first)
 	}
 	(<-ra)()
+	if second := <-order; second != "B" {
+		t.Fatalf("second grant %q, want B", second)
+	}
+	(<-rb)()
 }
 
 func TestTokenBucketRefill(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	p := New(Options{Workers: 64, QueueLimit: 8, Deadline: time.Second,
-		TenantQPS: 10, Now: clk.now}) // burst defaults to 10 tokens
+		TenantQPS: 10, Now: clk.now}) // bucket holds 10 tokens
 	for i := 0; i < 10; i++ {
 		rel, err := p.Admit("tenant-a")
 		if err != nil {

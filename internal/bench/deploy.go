@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"lambdastore/internal/admission"
 	"lambdastore/internal/baseline"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
@@ -32,18 +33,12 @@ type Options struct {
 	CacheEntries   int
 	Fuel           int64
 	DataRoot       string // parent directory for node data (temp if empty)
-	ColdPerInvoke  bool   // disaggregated cold-start emulation (Table 1)
 	// SyncWrites fsyncs the WAL on every commit (the durability-honest
 	// configuration).
 	SyncWrites bool
-	Tracing    bool // record spans for every invocation
-
-	// Admission plane knobs (benchmarked by RunOverload).
-	MaxConcurrentInvokes int           // execution slots per node (0 = ungated)
-	AdmissionQueue       int           // bounded wait queue (0 = plane off)
-	AdmissionDeadline    time.Duration // max queue wait before shedding
-	AdmissionLIFO        bool          // drain newest-first
-	TenantQPS            float64       // per-tenant token-bucket limit
+	// Admission gates every aggregated node's invocations (nil = ungated;
+	// RunOverload sets it).
+	Admission *admission.Options
 
 	Verbose bool
 }
@@ -144,14 +139,9 @@ func StartAggregated(opts Options) (*Deployment, error) {
 				Fuel:         opts.Fuel,
 				CacheEntries: opts.CacheEntries,
 			},
-			Directory:            dir,
-			ClientOptions:        opts.clientOpts(),
-			Tracing:              opts.Tracing,
-			MaxConcurrentInvokes: opts.MaxConcurrentInvokes,
-			AdmissionQueue:       opts.AdmissionQueue,
-			AdmissionDeadline:    opts.AdmissionDeadline,
-			AdmissionLIFO:        opts.AdmissionLIFO,
-			TenantQPS:            opts.TenantQPS,
+			Directory:     dir,
+			ClientOptions: opts.clientOpts(),
+			Admission:     opts.Admission,
 		})
 		if err != nil {
 			d.Close()

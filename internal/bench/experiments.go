@@ -177,13 +177,11 @@ func RunTable1(opts Options) ([]Table1Row, error) {
 	})
 
 	// --- Conventional serverless with per-invocation cold starts. ---
-	coldOpts := opts
-	coldOpts.ColdPerInvoke = true
-	coldD, err := StartDisaggregatedCold(coldOpts)
+	coldD, err := StartDisaggregatedCold(opts)
 	if err != nil {
 		return nil, err
 	}
-	coldRes, err := measureMix(coldD, coldOpts, ops/4+1)
+	coldRes, err := measureMix(coldD, opts, ops/4+1)
 	coldD.Close()
 	if err != nil {
 		return nil, err

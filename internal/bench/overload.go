@@ -21,9 +21,10 @@ import (
 // capacity, from half-load to well past saturation, against two
 // deployments that differ only in the admission plane:
 //
-//   - no-shed: the legacy unbounded semaphore gate. Past the knee every
-//     excess arrival joins an unbounded queue; by Little's law the
-//     admitted-request latency grows with the backlog, i.e. collapses.
+//   - no-shed: a plane that never sheds within the sweep (a queue and
+//     deadline far beyond anything it builds). Past the knee every excess
+//     arrival joins the queue; by Little's law the admitted-request
+//     latency grows with the backlog, i.e. collapses.
 //   - shed: bounded queue + deadline. Excess arrivals are refused in
 //     O(deadline); the requests the node does serve keep a bounded queue
 //     ahead of them, so their p99 stays within a small multiple of the
@@ -102,12 +103,10 @@ func overloadOptions(opts Options, shed bool) Options {
 	// Durability-honest writes: the fsync is what gives the node a real,
 	// modest per-slot service time (and thus a measurable knee).
 	o.SyncWrites = true
-	o.MaxConcurrentInvokes = overloadWorkers
 	if shed {
-		o.AdmissionQueue = overloadQueue
-		o.AdmissionDeadline = overloadDeadline
+		o.Admission = &admission.Options{Workers: overloadWorkers, QueueLimit: overloadQueue, Deadline: overloadDeadline}
 	} else {
-		o.AdmissionQueue = 0
+		o.Admission = &admission.Options{Workers: overloadWorkers, QueueLimit: 1 << 20, Deadline: time.Hour}
 	}
 	return o
 }
@@ -131,6 +130,23 @@ func startOverload(opts Options, shed bool) (*Deployment, *cluster.Client, error
 		return nil, nil, err
 	}
 	d.closers = append(d.closers, meas.Close)
+	// Set-up writes (populate, the capacity probe) go through a patient
+	// client instead: the shed plane refuses some of populate's parallel
+	// writes when a hot account's followers queue behind its lock, and a
+	// refusal is pre-execution, so retrying it until it lands is safe.
+	setup, err := cluster.NewClient(cluster.ClientConfig{
+		Directory:  d.Dir,
+		RPC:        opts.clientOpts(),
+		MaxRetries: 64,
+	})
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	d.closers = append(d.closers, setup.Close)
+	d.Invoker = workload.InvokerFunc(func(object uint64, method string, args [][]byte) ([]byte, error) {
+		return setup.Invoke(core.ObjectID(object), method, args)
+	})
 	return d, meas, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/core"
 	"lambdastore/internal/fault"
@@ -26,11 +27,10 @@ import (
 // Sweep 1 — throughput vs group count. One single-node replica group per
 // shard, uniform Post workload. On one shared machine every group rides
 // the same cores, so raw CPU would flatten the curve; instead each node's
-// capacity is modeled with an injected per-frame receive delay (the fault
-// plane's SiteRPCRecv rule sleeps in the server's per-connection read
-// loop, and the bench client holds exactly one connection per node with
-// write coalescing off, so a node admits at most 1/delay requests per
-// second). More groups = more aggregate admission capacity, exactly the
+// capacity is modeled as execution slots: an admission plane with one
+// slot, and a fault-plane SiteInvoke delay that holds the slot for every
+// invocation (a slow node), so a node serves at most 1/delay requests per
+// second. More groups = more aggregate execution capacity, exactly the
 // effect partitioned placement buys on real hardware.
 //
 // Sweep 2 — Zipf hot-spot convergence. Same capacity model at a fixed
@@ -45,9 +45,12 @@ import (
 var rebalanceGroupCounts = []int{1, 4, 16, 48}
 
 const (
-	// rebalancePerNodeDelay is each node's modeled admission interval:
-	// one inbound frame per 500µs ≈ 2,000 requests/second/group.
+	// rebalancePerNodeDelay is each node's modeled service time: one
+	// execution slot held 500µs per invocation ≈ 2,000 requests/second/group.
 	rebalancePerNodeDelay = 500 * time.Microsecond
+	// rebalanceQueueDeadline sheds nothing: at most Concurrency requests
+	// ever wait on one node, about 100ms of queue at the slowest point.
+	rebalanceQueueDeadline = 10 * time.Second
 	// rebalanceZipfS is the hot-spot skew for sweep 2.
 	rebalanceZipfS = 1.1
 	// rebalanceConvergenceGroups is sweep 2's group count.
@@ -77,7 +80,7 @@ type RebalanceConvergence struct {
 	Groups       int     `json:"groups"`
 	HotspotZipfS float64 `json:"hotspot_zipf_s"`
 	// Steady-state Post throughput with the planner off: the single hot
-	// group is the whole cluster's admission capacity.
+	// group is the whole cluster's execution capacity.
 	OffThroughput float64 `json:"rebalancer_off_ops_sec"`
 	OffP99Ms      float64 `json:"rebalancer_off_p99_ms"`
 	OffErrors     uint64  `json:"rebalancer_off_errors"`
@@ -109,19 +112,9 @@ type RebalanceReport struct {
 	GeneratedBy    string                `json:"generated_by"`
 	Accounts       int                   `json:"accounts"`
 	Concurrency    int                   `json:"concurrency"`
-	PerNodeDelayUs int64                 `json:"per_node_recv_delay_us"`
+	PerNodeDelayUs int64                 `json:"per_node_invoke_delay_us"`
 	GroupSweep     []RebalanceGroupPoint `json:"group_sweep"`
 	Convergence    RebalanceConvergence  `json:"zipf_convergence"`
-}
-
-// rebalanceClientOpts builds the bench client's RPC options. Write
-// coalescing is off so every operation is its own frame — the per-frame
-// receive delay then models per-request admission, not per-batch.
-func rebalanceClientOpts() *rpc.ClientOptions {
-	return &rpc.ClientOptions{
-		Timeout:                120 * time.Second,
-		DisableWriteCoalescing: true,
-	}
 }
 
 // rebalanceCluster is a G-group single-replica deployment sharing one
@@ -159,11 +152,8 @@ func startRebalanceCluster(opts Options, groups int) (*rebalanceCluster, error) 
 				CacheEntries: opts.CacheEntries,
 			},
 			Directory:     c.dir,
-			ClientOptions: rebalanceClientOpts(),
-			// A second admission bound alongside the frame delay: at most
-			// 8 invocations executing per node, like a real per-node
-			// worker pool.
-			MaxConcurrentInvokes: 8,
+			ClientOptions: opts.clientOpts(),
+			Admission:     &admission.Options{Workers: 1, Deadline: rebalanceQueueDeadline},
 		})
 		if err != nil {
 			d.Close()
@@ -179,7 +169,7 @@ func startRebalanceCluster(opts Options, groups int) (*rebalanceCluster, error) 
 
 	client, err := cluster.NewClient(cluster.ClientConfig{
 		Directory: c.dir,
-		RPC:       rebalanceClientOpts(),
+		RPC:       opts.clientOpts(),
 	})
 	if err != nil {
 		d.Close()
@@ -256,11 +246,11 @@ fill:
 	}
 }
 
-// installCapacityRules arms the per-node admission delay.
+// installCapacityRules arms the per-node service delay.
 func installCapacityRules(nodes []*cluster.Node) {
 	for _, n := range nodes {
 		fault.Add(fault.Rule{
-			Site:   fault.SiteRPCRecv,
+			Site:   fault.SiteInvoke,
 			Key:    n.Addr(),
 			Action: fault.Delay,
 			Delay:  rebalancePerNodeDelay,
@@ -331,7 +321,7 @@ func runRebalanceConvergence(opts Options, on bool, conv *RebalanceConvergence) 
 		timeline []RebalanceMovesSample
 	)
 	if on {
-		pool := rpc.NewPool(rebalanceClientOpts())
+		pool := rpc.NewPool(opts.clientOpts())
 		defer pool.Close()
 		reb = rebalance.New(rebalance.Options{
 			Pool:     pool,
@@ -429,7 +419,7 @@ func RunRebalance(opts Options, outPath string, w io.Writer) (*RebalanceReport, 
 		PerNodeDelayUs: rebalancePerNodeDelay.Microseconds(),
 	}
 	if w != nil {
-		fmt.Fprintf(w, "Rebalance: many-group placement (uniform Post, %v/frame per-node admission)\n", rebalancePerNodeDelay)
+		fmt.Fprintf(w, "Rebalance: many-group placement (uniform Post, 1 slot/node held %v per invoke)\n", rebalancePerNodeDelay)
 	}
 	for _, g := range rebalanceGroupCounts {
 		p, err := runRebalanceGroupPoint(opts, g)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lambdastore/internal/admission"
 	"lambdastore/internal/fault"
 )
 
@@ -163,10 +164,8 @@ func TestChaosMigrateUnderChaos(t *testing.T) {
 // end-of-run verifier checks the ledgers).
 func TestChaosOverloadRestartRejoin(t *testing.T) {
 	c, err := Start(Options{
-		BaseDir:           t.TempDir(),
-		AdmissionQueue:    8,
-		AdmissionDeadline: 5 * time.Millisecond,
-		AdmissionWorkers:  2,
+		BaseDir:   t.TempDir(),
+		Admission: &admission.Options{Workers: 2, QueueLimit: 8, Deadline: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("chaos start: %v", err)

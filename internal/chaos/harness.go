@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"lambdastore/internal/admission"
 	"lambdastore/internal/cluster"
 	"lambdastore/internal/coordinator"
 	"lambdastore/internal/paxos"
@@ -46,13 +47,9 @@ type Options struct {
 	// an abandoned migration session may sit before its partial copy is
 	// reclaimed). Zero keeps the node default.
 	MoveSessionTimeout time.Duration
-	// AdmissionQueue, when > 0, arms every node's admission plane (bounded
+	// Admission, when non-nil, arms every node's admission plane (bounded
 	// wait queue + deadline shedding) — the overload scenarios' subject.
-	AdmissionQueue int
-	// AdmissionDeadline bounds queue wait before a shed (0 = plane default).
-	AdmissionDeadline time.Duration
-	// AdmissionWorkers sizes each node's execution slots (0 = NumCPU).
-	AdmissionWorkers int
+	Admission *admission.Options
 }
 
 func (o *Options) defaults() {
@@ -278,9 +275,7 @@ func (c *Cluster) nodeOptions(addr, dataDir string, group uint64) cluster.NodeOp
 		Rejoin:                 true,
 		RecoveryMaxBytesPerSec: c.opts.RejoinMaxBytesPerSec,
 		MoveSessionTimeout:     c.opts.MoveSessionTimeout,
-		MaxConcurrentInvokes:   c.opts.AdmissionWorkers,
-		AdmissionQueue:         c.opts.AdmissionQueue,
-		AdmissionDeadline:      c.opts.AdmissionDeadline,
+		Admission:              c.opts.Admission,
 		// Leases shorter than the failure-detector timeout: a deposed
 		// primary's barrier (one lease TTL) always ends before the
 		// coordinator can have promoted a successor, so a leased backup

@@ -446,7 +446,7 @@ func (r *runner) startLeaseProbe(obj core.ObjectID) (stop func() error) {
 // overloadBurst fires `clients` concurrent writers, each appending
 // `perClient` unique ids, at the workload objects — deliberately far
 // past the admission plane's capacity when one is configured (see the
-// harness's AdmissionQueue/AdmissionWorkers knobs). The point is the
+// harness's Admission option). The point is the
 // interaction invariant: shedding must stay a pre-execution refusal
 // even while the group is mid-rejoin, so an id is either acknowledged
 // (and then owed forever — it joins report.Acked and the end-of-run

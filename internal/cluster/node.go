@@ -68,34 +68,18 @@ type NodeOptions struct {
 	// RecoveryMaxBytesPerSec rate-limits recovery chunk streaming
 	// (0 = unlimited).
 	RecoveryMaxBytesPerSec int
-	// MaxConcurrentInvokes, when positive, bounds how many inbound
-	// invocations execute at once — an admission gate modeling per-node
-	// compute capacity. In-process multi-node benches share one CPU
-	// pool, so without this gate placement has no throughput effect;
-	// with it, a node saturates at its own limit the way a real machine
-	// saturates its cores. With AdmissionQueue unset this is a bare
-	// blocking semaphore (requests queue without bound or deadline);
-	// with it, it sizes the admission plane's execution slots.
-	MaxConcurrentInvokes int
-	// AdmissionQueue, when positive, enables the admission plane: a
-	// bounded wait queue of this many requests in front of the execution
-	// slots (MaxConcurrentInvokes, or NumCPU when unset), with
-	// deadline-based shedding and optional per-tenant quotas. Requests
-	// the plane refuses are rejected with a typed overload error the
-	// client retries with capped backoff. Zero keeps the legacy
-	// unbounded semaphore gate.
-	AdmissionQueue int
-	// AdmissionDeadline bounds queue wait before a request is shed
-	// (0 = admission.DefaultDeadline).
-	AdmissionDeadline time.Duration
-	// AdmissionLIFO drains the admission queue newest-first: under a
-	// burst the freshest requests still meet their deadline while the
-	// oldest — whose clients have likely given up — are shed.
-	AdmissionLIFO bool
-	// TenantQPS, when positive, token-bucket rate-limits each tenant at
-	// the admission plane. The tenant is the client-declared tenant tag
-	// on the invoke frame, falling back to the peer's host.
-	TenantQPS float64
+	// Admission, when non-nil, gates every inbound invocation through an
+	// admission plane: a fixed pool of execution slots behind a bounded
+	// FIFO wait queue with deadline shedding and optional per-tenant
+	// quotas. The slots are the node's compute capacity: in-process
+	// multi-node benches share one CPU pool, so it is the plane that
+	// makes a node saturate at its own limit the way a real machine
+	// saturates its cores. Requests the plane refuses are rejected with a
+	// typed overload error the client retries with capped backoff. The
+	// tenant is the client-declared tag on the invoke frame, falling back
+	// to the peer's host. Metrics is replaced by the node's registry.
+	// Nil leaves invocations ungated.
+	Admission *admission.Options
 	// MoveSessionTimeout bounds inbound live-migration session
 	// inactivity before the target reclaims the partial copy (0 =
 	// default 10s; chaos tests shrink it).
@@ -149,11 +133,8 @@ type Node struct {
 	fenceMu    sync.Mutex
 	fences     map[uint64]string
 
-	// invSem, when non-nil, is the MaxConcurrentInvokes admission gate.
-	// adm, when non-nil, supersedes it (AdmissionQueue > 0): a bounded
-	// queue with deadline shedding and per-tenant quotas.
-	invSem chan struct{}
-	adm    *admission.Plane
+	// adm is the invocation gate (nil = ungated).
+	adm *admission.Plane
 
 	// Read-lease plane. leases is this node's backup-side holder;
 	// leaseTTL is the primary-side grant duration. leaseBarrier holds a
@@ -215,20 +196,10 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		tracer:  tracer,
 		fences:  make(map[uint64]string),
 	}
-	if opts.AdmissionQueue > 0 {
-		// Admission plane supersedes the bare semaphore: same slot count,
-		// but waits are bounded and overload is shed instead of queued
-		// without limit.
-		n.adm = admission.New(admission.Options{
-			Workers:    opts.MaxConcurrentInvokes,
-			QueueLimit: opts.AdmissionQueue,
-			Deadline:   opts.AdmissionDeadline,
-			LIFO:       opts.AdmissionLIFO,
-			TenantQPS:  opts.TenantQPS,
-			Metrics:    reg,
-		})
-	} else if opts.MaxConcurrentInvokes > 0 {
-		n.invSem = make(chan struct{}, opts.MaxConcurrentInvokes)
+	if opts.Admission != nil {
+		ao := *opts.Admission
+		ao.Metrics = reg
+		n.adm = admission.New(ao)
 	}
 	n.forwards = reg.Counter("cluster.forwards")
 	n.migrations = reg.Counter("cluster.migrations")
@@ -1012,7 +983,9 @@ func (n *Node) registerHandlers() {
 			if tenant == "" {
 				tenant = peerHost(info.Peer)
 			}
+			sp := n.tracer.StartSpan(info.Trace, "admission-wait")
 			release, aerr := n.adm.Admit(tenant)
+			sp.FinishErr(aerr)
 			if aerr != nil {
 				return nil, aerr
 			}
@@ -1021,9 +994,10 @@ func (n *Node) registerHandlers() {
 				n.adm.Observe(time.Since(t0))
 				release()
 			}()
-		} else if n.invSem != nil {
-			n.invSem <- struct{}{}
-			defer func() { <-n.invSem }()
+		}
+		// A slow-node fault holds the execution slot it was admitted to.
+		if d := fault.Eval(fault.SiteInvoke, n.addr); d.Delay > 0 {
+			time.Sleep(d.Delay)
 		}
 		resp, err := n.rt.InvokeCtx(req.object, req.method, req.args, core.CallCtx{Trace: info.Trace})
 		if err != nil && errors.Is(err, core.ErrNoSuchObject) {

@@ -22,7 +22,8 @@
 //     in one address space; a process-global plane is what lets a single
 //     schedule partition links between them. Sites disambiguate nodes by
 //     key: the peer address at rpc sites, the database directory at
-//     wal.sync, the backup address at repl.ship.
+//     wal.sync, the backup address at repl.ship, the executing node's
+//     address at invoke.
 package fault
 
 import (
@@ -54,6 +55,11 @@ const (
 	// dropping them models clock skew / renewal loss — the backup's lease
 	// expires and reads bounce to the primary until renewals resume.
 	SiteLeaseRenew = "lease.renew" // key: backup address
+	// Invocation execution (internal/cluster): evaluated inside the
+	// admitted slot of every inbound MethodInvoke. A Delay rule models a
+	// slow node — it holds the execution slot, so with an admission plane
+	// it caps that node's throughput at Workers/Delay.
+	SiteInvoke = "invoke" // key: executing node's address
 )
 
 // Action is what an armed rule does when it fires.

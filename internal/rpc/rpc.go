@@ -165,17 +165,16 @@ func readFrame(r io.Reader) (*message, error) {
 	return m, nil
 }
 
-// connWriter serializes outbound frames on one connection. With coalescing
-// enabled (the default), concurrent writers append their encoded frames to
-// a shared buffer and the first writer becomes the flusher: it repeatedly
-// swaps the pending buffer out and issues one conn.Write for everything
-// queued, so N concurrent frames cost one syscall instead of N. Riders
-// return immediately; a failed flush poisons the writer and closes the
-// connection, which surfaces the failure to riders through the reader side
-// (failAll on clients, conn teardown on servers).
+// connWriter serializes outbound frames on one connection. Concurrent
+// writers append their encoded frames to a shared buffer and the first
+// writer becomes the flusher: it repeatedly swaps the pending buffer out
+// and issues one conn.Write for everything queued, so N concurrent
+// frames cost one syscall instead of N. Riders return immediately; a
+// failed flush poisons the writer and closes the connection, which
+// surfaces the failure to riders through the reader side (failAll on
+// clients, conn teardown on servers).
 type connWriter struct {
-	conn     net.Conn
-	coalesce bool
+	conn net.Conn
 
 	mu       sync.Mutex
 	buf      []byte // pending encoded frames
@@ -188,12 +187,8 @@ type connWriter struct {
 	coalesced atomic.Pointer[telemetry.Counter]
 }
 
-func newConnWriter(conn net.Conn, coalesce bool) *connWriter {
-	return &connWriter{conn: conn, coalesce: coalesce}
-}
-
-// writeMsg encodes and sends m. With coalescing, a nil return means the
-// frame is queued behind an active flusher and will reach the wire (or the
+// writeMsg encodes and sends m. A nil return means the frame is on the
+// wire or queued behind an active flusher and will reach it (or the
 // connection will die trying).
 func (w *connWriter) writeMsg(m *message) error {
 	w.mu.Lock()
@@ -208,22 +203,6 @@ func (w *connWriter) writeMsg(m *message) error {
 	w.buf = m.encode(w.buf)
 	binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 
-	if !w.coalesce {
-		// Serialized write under the lock (the pre-coalescing behavior);
-		// the lock must cover conn.Write because net.Conn loops on partial
-		// writes and an interleaved writer would tear frames.
-		buf := w.buf
-		_, err := w.conn.Write(buf)
-		w.buf = buf[:0]
-		if err != nil {
-			w.err = err
-		}
-		w.mu.Unlock()
-		if err != nil {
-			w.conn.Close()
-		}
-		return err
-	}
 	if w.flushing {
 		// An active flusher will pick this frame up on its next round.
 		if c := w.coalesced.Load(); c != nil {
@@ -411,7 +390,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.RLock()
 	srvMetrics := s.metrics
 	s.mu.RUnlock()
-	cw := newConnWriter(conn, true)
+	cw := &connWriter{conn: conn}
 	if srvMetrics != nil {
 		cw.coalesced.Store(srvMetrics.coalesced)
 	}
@@ -519,10 +498,6 @@ type ClientOptions struct {
 	Delay time.Duration
 	// DialTimeout bounds connection establishment; zero means 5s.
 	DialTimeout time.Duration
-	// DisableWriteCoalescing turns off per-connection batching of request
-	// writes (every call then pays its own conn.Write). Used by the
-	// rebalance benchmark's per-frame capacity model.
-	DisableWriteCoalescing bool
 }
 
 func (o *ClientOptions) sanitize() ClientOptions {
@@ -625,7 +600,7 @@ func dialFrom(addr string, opts *ClientOptions, from string) (*Client, error) {
 		from:    from,
 		pending: make(map[uint64]chan *message),
 		conn:    conn,
-		cw:      newConnWriter(conn, !o.DisableWriteCoalescing),
+		cw:      &connWriter{conn: conn},
 	}
 	go c.readLoop()
 	return c, nil

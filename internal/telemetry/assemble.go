@@ -61,6 +61,8 @@ func stageOf(name string) string {
 		return "cache-hit"
 	case "invoke":
 		return "dispatch"
+	case "admission-wait":
+		return "admission"
 	default:
 		return name
 	}

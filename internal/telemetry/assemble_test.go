@@ -21,21 +21,24 @@ func mkSpan(trace, id, parent uint64, name, node string, startMs, durMs int64) S
 }
 
 // TestAssembleCrossNodeAttribution stitches a hand-built three-node trace
-// (root invoke -> rpc to a remote invoke, plus wal/vm work) and checks the
-// tree shape, node list, and exact per-stage attribution.
+// (root invoke -> rpc to a remote node that queues for admission, then
+// invokes with wal/vm work) and checks the tree shape, node list, and exact
+// per-stage attribution.
 func TestAssembleCrossNodeAttribution(t *testing.T) {
 	const tr = 0x42
 	spans := []Span{
 		// n0: root invoke 0..100ms, rpc hop 10..90ms nested inside it.
 		mkSpan(tr, 1, 0, "invoke", "n0", 0, 100),
 		mkSpan(tr, 2, 1, "rpc", "n0", 10, 80),
-		// n1: the forwarded invoke 20..80ms, with fsync and vm work inside.
+		// n1: the admission-queue wait 12..20ms, then the forwarded invoke
+		// 20..80ms, with fsync and vm work inside.
+		mkSpan(tr, 6, 2, "admission-wait", "n1", 12, 8),
 		mkSpan(tr, 3, 2, "invoke", "n1", 20, 60),
 		mkSpan(tr, 4, 3, "wal-sync", "n1", 30, 20),
 		mkSpan(tr, 5, 3, "vm-exec", "n1", 50, 20),
 	}
 	// Shuffle across "scrapes": assembly must not depend on input order.
-	spans = []Span{spans[4], spans[1], spans[0], spans[3], spans[2]}
+	spans = []Span{spans[5], spans[1], spans[0], spans[4], spans[2], spans[3]}
 
 	a := AssembleTrace(tr, spans)
 	if len(a.Roots) != 1 || a.Roots[0].Span.ID != 1 {
@@ -50,18 +53,20 @@ func TestAssembleCrossNodeAttribution(t *testing.T) {
 	if a.Total != 100*time.Millisecond {
 		t.Fatalf("total = %v", a.Total)
 	}
-	for id := uint64(1); id <= 5; id++ {
+	for id := uint64(1); id <= 6; id++ {
 		if !a.Critical[id] {
 			t.Errorf("span %d not on critical path", id)
 		}
 	}
 
 	// Attribution: root self = 100-80 = 20ms (dispatch), rpc self =
-	// 80-60 = 20ms (rpc-wire), remote invoke self = 60-40 = 20ms
-	// (dispatch again), wal-sync 20ms, vm-exec 20ms.
+	// 80-60-8 = 12ms (rpc-wire), admission-wait 8ms (admission), remote
+	// invoke self = 60-40 = 20ms (dispatch again), wal-sync 20ms, vm-exec
+	// 20ms.
 	want := map[string]time.Duration{
 		"dispatch":  40 * time.Millisecond,
-		"rpc-wire":  20 * time.Millisecond,
+		"rpc-wire":  12 * time.Millisecond,
+		"admission": 8 * time.Millisecond,
 		"wal-fsync": 20 * time.Millisecond,
 		"vm-exec":   20 * time.Millisecond,
 	}
